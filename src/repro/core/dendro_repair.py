@@ -77,14 +77,13 @@ from typing import Iterable, Sequence
 from repro.core import hac_kernel
 from repro.core.clustering import LINKAGE_AVERAGE, agglomerate_clusters
 from repro.core.correlation import CorrelationMatrix, correlation_to_distance
-from repro.core.dendrogram import Dendrogram, Merge
+from repro.core.dendrogram import Dendrogram, Merge, partition_after
 from repro.core.hac_kernel import (
     KERNEL_NUMPY,
     KERNEL_PYTHON,
     require_numpy,
     resolve_kernel,
 )
-from repro.core.unionfind import UnionFind
 
 #: Repair every dirty component by splicing its cached dendrogram (the
 #: default; falls back to a wholesale rebuild when splicing is unsafe).
@@ -212,20 +211,36 @@ def first_affected_distance(
     return floor
 
 
+def block_affected_distance(block, affected: Iterable[str]) -> float:
+    """:func:`first_affected_distance` read off a component's distance block.
+
+    The block's rows of the affected keys hold their current distances to
+    every other component key (``inf`` for non-neighbours and on the
+    diagonal), filled with the same IEEE-754 operations as
+    :meth:`~repro.core.correlation.CorrelationMatrix.correlation_of` and
+    :func:`~repro.core.correlation.correlation_to_distance`, so the
+    minimum over those rows is bit-equal to the Python sweep — one
+    vectorized reduction over O(affected) rows instead of a walk of every
+    affected key's neighbours.
+    """
+    return float(block.square[block.positions(affected)].min())
+
+
 def surviving_clusters(
     component: frozenset[str], merges: Sequence[Merge]
 ) -> list[frozenset[str]]:
     """The partition of ``component`` after applying a merge prefix.
 
     Sorted by each cluster's smallest key — the seed order
-    :func:`~repro.core.clustering.agglomerate_clusters` requires.
+    :func:`~repro.core.clustering.agglomerate_clusters` requires.  The
+    multi-key clusters are the prefix's own ``members`` objects, read off
+    in O(prefix) by :func:`~repro.core.dendrogram.partition_after`.
     """
-    forest = UnionFind()
-    for key in component:
-        forest.add(key)
-    for merge in merges:
-        forest.union(next(iter(merge.left)), next(iter(merge.right)))
-    return sorted((frozenset(c) for c in forest.components()), key=min)
+    roots, singles = partition_after(frozenset(component), merges)
+    clusters = list(roots)
+    clusters.extend(frozenset((key,)) for key in singles)
+    clusters.sort(key=min)
+    return clusters
 
 
 def splice_dendrogram(
@@ -295,7 +310,6 @@ def splice_dendrogram(
         return rebuild_outcome(matrix, component, linkage, kernel=kernel)
     affected = {key for key in dirty if key in component}
 
-    old_merges: list[Merge] = []
     covered: set[str] = set()
     for dendrogram in cached:
         items = dendrogram.items
@@ -305,32 +319,42 @@ def splice_dendrogram(
             # prefix argument no longer applies.
             return rebuild_outcome(matrix, component, linkage, kernel=kernel)
         covered |= items
-        old_merges.extend(dendrogram.merges)
     # Keys no cache knows about joined the component in this update.
     affected |= component - covered
-    if not affected or not old_merges:
+    if not affected or not any(dendrogram.merges for dendrogram in cached):
         return rebuild_outcome(matrix, component, linkage, kernel=kernel)
 
-    splice_at = first_affected_distance(matrix, component, affected)
-    for merge in old_merges:
-        if merge.distance >= splice_at:
-            continue
-        if not affected.isdisjoint(merge.members):
-            splice_at = merge.distance
-    old_merges.sort(key=lambda merge: merge.distance)
-    prefix = [
-        merge
-        for merge in old_merges
-        if merge.distance < splice_at
-        and not math.isclose(merge.distance, splice_at)
-        and affected.isdisjoint(merge.members)
-    ]
+    resolved = resolve_kernel(kernel, linkage, len(component))
+    block = None
+    if resolved == KERNEL_NUMPY:
+        block = matrix.component_distance_block(component)
+        splice_at = block_affected_distance(block, affected)
+    else:
+        splice_at = first_affected_distance(matrix, component, affected)
+    # A cache's merges are sorted and every merge containing a dirty key
+    # comes no earlier than the one that absorbed that key, so the first
+    # merge touching ``affected`` per cache is the only one that can
+    # lower the line — and no merge strictly below it touches ``affected``.
+    for dendrogram in cached:
+        for merge in dendrogram.merges:
+            if merge.distance >= splice_at:
+                break
+            if not affected.isdisjoint(merge.members):
+                splice_at = merge.distance
+                break
+    prefix: list[Merge] = []
+    for dendrogram in cached:
+        prefix.extend(dendrogram.merges_below(splice_at))
+    if len(cached) > 1:
+        prefix.sort(key=lambda merge: merge.distance)
+    # Merges within isclose of the line are re-derived (ties are where
+    # HAC is order-sensitive); below the line they form a sorted suffix.
+    while prefix and math.isclose(prefix[-1].distance, splice_at):
+        prefix.pop()
 
     seeds = surviving_clusters(component, prefix)
-    resolved = resolve_kernel(kernel, linkage, len(component))
     seed_cache: SeedDistanceCache | None = None
-    if resolved == KERNEL_NUMPY and len(seeds) > 1:
-        block = matrix.component_distance_block(component)
+    if block is not None and len(seeds) > 1:
         seed_square = _seed_matrix_with_reuse(
             block, seeds, affected, seed_caches, linkage
         )
@@ -378,30 +402,36 @@ def _seed_matrix_with_reuse(
     distance block (:func:`~repro.core.hac_kernel.seed_matrix_rows`).
     """
     np = require_numpy()
-    count = len(seeds)
-    square = np.full((count, count), math.inf)
-    reused: set[int] = set()
-    for cache in seed_caches:
-        if cache is None or cache.linkage != linkage:
-            continue
-        old_index = {cluster: at for at, cluster in enumerate(cache.seeds)}
-        new_ids: list[int] = []
-        old_ids: list[int] = []
-        for at, seed in enumerate(seeds):
-            if at in reused:
-                continue
-            old_at = old_index.get(seed)
-            if old_at is not None and affected.isdisjoint(seed):
-                new_ids.append(at)
-                old_ids.append(old_at)
-        if new_ids:
-            square[np.ix_(new_ids, new_ids)] = cache.matrix[
-                np.ix_(old_ids, old_ids)
-            ]
-            reused.update(new_ids)
-    fresh = [at for at in range(count) if at not in reused]
-    if fresh:
-        rows = hac_kernel.seed_matrix_rows(block, seeds, fresh, linkage)
+    caches = [
+        cache
+        for cache in seed_caches
+        if cache is not None and cache.linkage == linkage
+    ]
+    # The caches' matrices side by side on one block diagonal, plus a last
+    # all-inf row/column that stands for "no cached row": one gather then
+    # lays every reusable entry out in the new seed order at once.
+    starts = [0]
+    for cache in caches:
+        starts.append(starts[-1] + len(cache.seeds))
+    missing = starts[-1]
+    stacked = np.full((missing + 1, missing + 1), math.inf)
+    origin: dict[frozenset[str], int] = {}
+    for cache, start in reversed(list(zip(caches, starts))):
+        end = start + len(cache.seeds)
+        stacked[start:end, start:end] = cache.matrix
+        origin.update(zip(cache.seeds, range(start, end)))  # first cache wins
+    source = np.fromiter(
+        (
+            origin.get(seed, missing) if affected.isdisjoint(seed) else missing
+            for seed in seeds
+        ),
+        dtype=np.intp,
+        count=len(seeds),
+    )
+    square = stacked.take(source, 0).take(source, 1)
+    fresh = (source == missing).nonzero()[0]
+    if fresh.size:
+        rows = hac_kernel.seed_matrix_rows(block, seeds, fresh.tolist(), linkage)
         square[fresh, :] = rows
         square[:, fresh] = rows.T
     np.fill_diagonal(square, math.inf)

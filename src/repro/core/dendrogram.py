@@ -5,12 +5,22 @@ prune the results returned by the hierarchical clustering API according to
 a specified threshold".  :meth:`Dendrogram.cut` is that pruning: it returns
 the flat clusters obtained by stopping agglomeration once the next merge
 distance would exceed the threshold.
+
+A dendrogram is a *well-formed forest* by construction: every merge joins
+two clusters that are live at that point — an unused item or the result
+of an earlier merge that no later merge has consumed yet.  A flat cut is
+therefore just the forest of roots of a merge prefix (the SciPy
+linkage-matrix view), which :func:`partition_after` reads off in
+O(merges applied).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -28,23 +38,82 @@ class Merge:
     members: frozenset[str]
 
 
+def partition_after(
+    items: frozenset[str], merges: Iterable[Merge]
+) -> tuple[set[frozenset[str]], frozenset[str]]:
+    """The forest a merge sequence leaves over ``items``.
+
+    Returns ``(roots, singles)``: the multi-key clusters no later merge
+    in ``merges`` consumed, and the items no merge touched.  Together
+    they partition ``items``.  The cost is O(len(merges)) set operations
+    plus one C-level set difference — never a Python pass over every
+    item.
+
+    Raises :class:`ValueError` when a merge side is not live at that
+    point: an unknown item, an item or cluster some earlier merge already
+    consumed, or a multi-key cluster no earlier merge produced.
+
+    >>> merges = [
+    ...     Merge(frozenset("a"), frozenset("b"), 0.5, frozenset("ab")),
+    ...     Merge(frozenset("ab"), frozenset("c"), 0.9, frozenset("abc")),
+    ... ]
+    >>> roots, singles = partition_after(frozenset("abcd"), merges[:1])
+    >>> [sorted(c) for c in roots], sorted(singles)
+    ([['a', 'b']], ['c', 'd'])
+    """
+    roots: set[frozenset[str]] = set()
+    singles: list[frozenset[str]] = []
+    try:
+        for merge in merges:
+            left, right = merge.left, merge.right
+            if len(left) == 1:
+                singles.append(left)
+            else:
+                roots.remove(left)
+            if len(right) == 1:
+                singles.append(right)
+            else:
+                roots.remove(right)
+            roots.add(merge.members)
+    except KeyError as error:
+        raise ValueError(
+            f"merge side {sorted(error.args[0])} is not a live cluster"
+        ) from None
+    if not singles:
+        return roots, items
+    # Every singleton side must be a distinct item: checked once, in C.
+    used = frozenset().union(*singles)
+    if len(used) != len(singles) or not used <= items:
+        raise ValueError(
+            "a singleton merge side is not a live cluster: its item is "
+            "unknown or an earlier merge consumed it"
+        )
+    return roots, items - used
+
+
 class Dendrogram:
     """Full merge history over a set of items.
 
     Merges are stored in non-decreasing distance order (HAC always merges
-    the closest pair next), which :meth:`cut` relies on.
+    the closest pair next), which :meth:`cut` relies on, and each merge
+    joins two live clusters (see :func:`partition_after`), so every
+    prefix of the merge list is a forest.
     """
 
     def __init__(self, items: set[str] | frozenset[str], merges: list[Merge]) -> None:
+        self.items = frozenset(items)
+        self.merges = list(merges)
+        self._distances: list[float] = []
         last = -math.inf
-        for merge in merges:
+        for merge in self.merges:
             if merge.distance < last:
                 raise ValueError("merges must be in non-decreasing distance order")
             last = merge.distance
+            self._distances.append(last)
             if not (merge.left | merge.right) == merge.members:
                 raise ValueError("merge members must be the union of its halves")
-        self.items = frozenset(items)
-        self.merges = list(merges)
+        if self.merges:
+            partition_after(self.items, self.merges)  # every side is live
 
     def cut(self, max_distance: float) -> list[frozenset[str]]:
         """Flat clusters after applying merges with distance <= threshold.
@@ -54,10 +123,9 @@ class Dendrogram:
         deterministic for tests and reports.
 
         The flat partition depends only on *which* merges clear the
-        threshold, not on their order — each kept merge just unions its
-        two sides — which is why a spliced dendrogram
-        (:mod:`repro.core.dendro_repair`) cuts to exactly the clusters of
-        a wholesale rebuild.
+        threshold — the roots of that merge prefix — not on their order,
+        which is why a spliced dendrogram (:mod:`repro.core.dendro_repair`)
+        cuts to exactly the clusters of a wholesale rebuild.
 
         >>> merges = [
         ...     Merge(frozenset("a"), frozenset("b"), 0.5, frozenset("ab")),
@@ -69,34 +137,22 @@ class Dendrogram:
         >>> [sorted(c) for c in dendrogram.cut(2.0)]
         [['a', 'b', 'c'], ['d']]
         """
-        parent: dict[str, str] = {item: item for item in self.items}
-
-        def find(item: str) -> str:
-            root = item
-            while parent[root] != root:
-                root = parent[root]
-            while parent[item] != root:
-                parent[item], item = root, parent[item]
-            return root
-
-        for merge in self.merges:
-            if merge.distance > max_distance:
-                break
-            left_root = find(next(iter(merge.left)))
-            right_root = find(next(iter(merge.right)))
-            if left_root != right_root:
-                parent[right_root] = left_root
-
-        clusters: dict[str, set[str]] = {}
-        for item in self.items:
-            clusters.setdefault(find(item), set()).add(item)
-        return sorted(
-            (frozenset(members) for members in clusters.values()),
-            key=lambda c: (-len(c), tuple(sorted(c))),
+        applied = bisect_right(self._distances, max_distance)
+        roots, singles = partition_after(
+            self.items, islice(self.merges, applied)
         )
+        # Disjoint clusters of equal size differ in their smallest key, so
+        # (-len, min) is the (-len, lexicographic) order; singletons last.
+        clusters = sorted(roots, key=lambda c: (-len(c), min(c)))
+        clusters.extend(map(frozenset, zip(sorted(singles))))
+        return clusters
+
+    def merges_below(self, distance: float) -> list[Merge]:
+        """The merges strictly below ``distance`` — a prefix of the list."""
+        return self.merges[: bisect_left(self._distances, distance)]
 
     def merge_distances(self) -> list[float]:
-        return [merge.distance for merge in self.merges]
+        return list(self._distances)
 
     def __len__(self) -> int:
         return len(self.merges)

@@ -47,6 +47,7 @@ without it every entry point below either reports the kernel unavailable
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 from repro.core.dendrogram import Merge
@@ -157,13 +158,20 @@ class DistanceBlock:
         )
 
 
-def _segments(np, positions):
-    """Concatenated member columns plus per-seed start offsets."""
-    cols = np.concatenate(positions)
-    lengths = np.fromiter(
-        (len(p) for p in positions), dtype=np.intp, count=len(positions)
+def _segments(np, block: DistanceBlock, clusters: Sequence[frozenset]):
+    """Concatenated member columns plus per-seed start offsets.
+
+    One ``fromiter`` over ``block.index`` for the whole partition: member
+    order within a segment is irrelevant, the segmented reductions are
+    pure ``max``/``min`` selections.
+    """
+    lengths = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
+    cols = np.fromiter(
+        map(block.index.__getitem__, chain.from_iterable(clusters)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
     )
-    offsets = np.zeros(len(positions), dtype=np.intp)
+    offsets = np.zeros(len(clusters), dtype=np.intp)
     np.cumsum(lengths[:-1], out=offsets[1:])
     return cols, offsets
 
@@ -192,16 +200,11 @@ def seed_matrix(
             f"kernel seed matrix supports {KERNEL_LINKAGES}, got {linkage!r}"
         )
     reduce_op = np.maximum if linkage == "complete" else np.minimum
-    positions = [block.positions(cluster) for cluster in clusters]
-    cols, offsets = _segments(np, positions)
+    cols, offsets = _segments(np, block, clusters)
     # (n, k): per source row, the reduction over each seed's columns
     per_seed = reduce_op.reduceat(block.square[:, cols], offsets, axis=1)
-    out = np.empty((len(clusters), len(clusters)), dtype=np.float64)
-    for row, pos in enumerate(positions):
-        if linkage == "complete":
-            out[row] = per_seed[pos].max(axis=0)
-        else:
-            out[row] = per_seed[pos].min(axis=0)
+    # (k, k): the same segmented reduction down the rows, in seed order
+    out = reduce_op.reduceat(per_seed[cols], offsets, axis=0)
     np.fill_diagonal(out, np.inf)
     return out
 
@@ -220,16 +223,11 @@ def seed_matrix_rows(
     """
     np = require_numpy()
     reduce_op = np.maximum if linkage == "complete" else np.minimum
-    positions = [block.positions(cluster) for cluster in clusters]
-    cols, offsets = _segments(np, positions)
-    out = np.empty((len(rows), len(clusters)), dtype=np.float64)
-    for at, row in enumerate(rows):
-        sub = reduce_op.reduceat(block.square[positions[row]][:, cols], offsets, axis=1)
-        if linkage == "complete":
-            out[at] = sub.max(axis=0)
-        else:
-            out[at] = sub.min(axis=0)
-    return out
+    cols, offsets = _segments(np, block, clusters)
+    row_cols, row_offsets = _segments(np, block, [clusters[row] for row in rows])
+    # (r, k): reduce each requested seed's member rows, then its columns
+    sub = reduce_op.reduceat(block.square[row_cols][:, cols], offsets, axis=1)
+    return reduce_op.reduceat(sub, row_offsets, axis=0)
 
 
 def agglomerate_square(
@@ -281,8 +279,14 @@ def agglomerate_square(
         else:
             nn_dist[row] = inf
 
-    for row in range(count - 1):
-        rescan(row)
+    # Initial neighbours in one pass over the strict upper triangle —
+    # argmin's first-minimum rule matches rescan()'s tie-break.  Rows
+    # with no finite neighbour keep rescan()'s (row + 1, inf) entry.
+    upper = np.where(np.tri(count, dtype=bool), inf, square)
+    nn_idx[:-1] = upper[:-1].argmin(axis=1)
+    nn_dist[:-1] = upper[np.arange(count - 1), nn_idx[:-1]]
+    unlinked = np.isinf(nn_dist[:-1]).nonzero()[0]
+    nn_idx[unlinked] = unlinked + 1
 
     members = list(clusters)
     merges: list[Merge] = []

@@ -32,6 +32,26 @@ class StoreError(OcastaError):
     """A configuration-store operation failed (bad path, bad type, ...)."""
 
 
+class InvalidEventError(StoreError, ValueError):
+    """A modification event has a non-``str`` key or a non-finite timestamp.
+
+    Raised by :class:`~repro.ttkv.store.TTKV` before the key's record or
+    the journal is touched, so a rejected event leaves no trace.  A NaN
+    timestamp would otherwise slip past every per-key time-order guard
+    (``nan < t`` is false) and poison the write-group windows.
+    Subclasses :class:`ValueError` like the other input-validation errors.
+    """
+
+    def __init__(self, key: object, timestamp: object) -> None:
+        if not isinstance(key, str):
+            problem = f"key must be a str, got {type(key).__name__}"
+        else:
+            problem = f"timestamp must be a finite number, got {timestamp!r}"
+        super().__init__(f"invalid event for key {key!r}: {problem}")
+        self.key = key
+        self.timestamp = timestamp
+
+
 class ParseError(StoreError):
     """A configuration file could not be parsed."""
 

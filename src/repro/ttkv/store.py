@@ -15,10 +15,11 @@ how loggers feed events (a real deployment's clock never runs backwards).
 from __future__ import annotations
 
 import bisect
+from math import isfinite
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.exceptions import KeyNotTrackedError, NoValueError
+from repro.exceptions import InvalidEventError, KeyNotTrackedError, NoValueError
 from repro.ttkv.journal import EventJournal
 
 
@@ -175,10 +176,22 @@ class TTKV:
     # -- recording ---------------------------------------------------------
 
     def record_write(self, key: str, value: Any, timestamp: float) -> None:
+        try:
+            valid = isinstance(key, str) and isfinite(timestamp)
+        except TypeError:  # not a real number at all
+            valid = False
+        if not valid:
+            raise InvalidEventError(key, timestamp)
         self._record(key).record_write(value, timestamp)
         self._journal.append(timestamp, key, value)
 
     def record_delete(self, key: str, timestamp: float) -> None:
+        try:
+            valid = isinstance(key, str) and isfinite(timestamp)
+        except TypeError:  # not a real number at all
+            valid = False
+        if not valid:
+            raise InvalidEventError(key, timestamp)
         self._record(key).record_delete(timestamp)
         self._journal.append(timestamp, key, DELETED)
 
@@ -190,12 +203,16 @@ class TTKV:
 
         ``value is DELETED`` records a deletion; anything else is a write.
         Events must respect per-key time order, as all record_* calls do.
+        Each event is validated as it is recorded (see
+        :class:`~repro.exceptions.InvalidEventError`); events before an
+        invalid one stay recorded.
         """
+        record_delete, record_write = self.record_delete, self.record_write
         for timestamp, key, value in events:
             if value is DELETED:
-                self.record_delete(key, timestamp)
+                record_delete(key, timestamp)
             else:
-                self.record_write(key, value, timestamp)
+                record_write(key, value, timestamp)
 
     def record_reads(self, key: str, count: int) -> None:
         """Bulk-count reads of ``key`` without per-event overhead.

@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from repro.core.dendro_repair import (
     REPAIR_MODES,
     REPAIR_REBUILD,
     REPAIR_SPLICE,
+    block_affected_distance,
     build_dendrogram,
     check_repair_mode,
     dendrogram_from_state,
@@ -41,6 +43,7 @@ from repro.core.dendro_repair import (
     splice_dendrogram,
     surviving_clusters,
 )
+from repro.core.hac_kernel import numpy_available
 from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
@@ -359,6 +362,57 @@ class TestSeededAgglomeration:
         assert set(REPAIR_MODES) == {"splice", "rebuild"}
         with pytest.raises(ValueError, match="unknown repair mode"):
             check_repair_mode("magic")
+
+
+# -- splice floor from the distance block ------------------------------------
+
+_FLOOR_KEYS = [f"k{i}" for i in range(10)]
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the distance block needs numpy")
+@given(
+    st.dictionaries(
+        st.sampled_from(_FLOOR_KEYS),
+        st.frozensets(st.integers(min_value=0, max_value=6), min_size=1, max_size=5),
+        min_size=2,
+    ),
+    st.lists(
+        st.lists(st.sampled_from(_FLOOR_KEYS), min_size=1, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_block_floor_is_bit_equal_to_first_affected_distance(
+    key_groups, growth, rng
+):
+    """Growth-only updates refresh the cached block incrementally; after
+    every one, the block-row minimum is the Python floor, bit for bit."""
+    matrix = CorrelationMatrix({key: set(groups) for key, groups in key_groups.items()})
+    for component in matrix.connected_components():
+        if len(component) > 1:
+            matrix.component_distance_block(component)  # prime the cache
+    for offset, keys in enumerate(growth):
+        dirty = matrix.update_groups(added=[(100 + offset, keys)])
+        for component in matrix.connected_components():
+            component = frozenset(component)
+            if len(component) < 2:
+                continue
+            block = matrix.component_distance_block(component)
+            touched = dirty & component
+            candidates = [touched] if touched else []
+            size = rng.randint(1, min(3, len(component)))
+            candidates.append(set(rng.sample(sorted(component), size)))
+            for affected in candidates:
+                expected = first_affected_distance(matrix, component, affected)
+                assert _bits(block_affected_distance(block, affected)) == _bits(
+                    expected
+                )
 
 
 # -- engine integration ------------------------------------------------------

@@ -1,10 +1,18 @@
 """Tests for the time-travel key-value store."""
 
 
+import importlib.util
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.exceptions import KeyNotTrackedError, NoValueError
+from repro.exceptions import (
+    InvalidEventError,
+    KeyNotTrackedError,
+    NoValueError,
+    StoreError,
+)
 from repro.ttkv.store import DELETED, MISSING, KeyRecord, TTKV, VersionedValue
 
 
@@ -191,6 +199,70 @@ class TestTTKV:
         small = ttkv.estimated_size_bytes()
         ttkv.record_write("b", "y" * 1000, 2.0)
         assert ttkv.estimated_size_bytes() > small + 900
+
+
+_JOURNALS = ["list", *(["columnar"] if importlib.util.find_spec("numpy") else [])]
+_BAD_TIMES = [math.nan, math.inf, -math.inf, "12", None]
+
+
+class TestEventValidation:
+    """Malformed events are refused before anything is recorded."""
+
+    @pytest.fixture(params=_JOURNALS)
+    def store(self, request):
+        return TTKV(journal_backend=request.param)
+
+    def test_nan_timestamp_write_is_rejected(self, store):
+        # ``nan < t`` is false, so a NaN used to slip past the per-key
+        # time-order guard and reach the clustering windows
+        with pytest.raises(InvalidEventError, match="finite"):
+            store.record_write("a/y", 1, float("nan"))
+        assert "a/y" not in store
+        assert store.write_events() == []
+
+    @pytest.mark.parametrize("timestamp", _BAD_TIMES)
+    def test_non_finite_timestamps_leave_no_trace(self, store, timestamp):
+        store.record_write("a/x", 0, 1.0)
+        with pytest.raises(InvalidEventError):
+            store.record_write("a/x", 1, timestamp)
+        with pytest.raises(InvalidEventError):
+            store.record_delete("a/x", timestamp)
+        assert store.write_count("a/x") == 1
+        assert store.total_deletes() == 0
+        assert store.write_events() == [(1.0, "a/x", 0)]
+
+    @pytest.mark.parametrize("key", [7, None, b"a/x", ("a", "x")])
+    def test_non_str_keys_are_rejected(self, store, key):
+        with pytest.raises(InvalidEventError, match="key must be a str"):
+            store.record_write(key, 1, 1.0)
+        with pytest.raises(InvalidEventError, match="key must be a str"):
+            store.record_delete(key, 1.0)
+        assert len(store) == 0
+        assert store.write_events() == []
+
+    def test_record_events_stops_at_the_invalid_event(self, store):
+        events = [
+            (1.0, "a", 1),
+            (2.0, "b", DELETED),
+            (math.nan, "c", 3),
+            (4.0, "d", 4),
+        ]
+        with pytest.raises(InvalidEventError):
+            store.record_events(events)
+        assert [k for _, k, _ in store.write_events()] == ["a", "b"]
+        assert "c" not in store and "d" not in store
+
+    def test_error_is_a_store_error_and_a_value_error(self, store):
+        with pytest.raises(StoreError):
+            store.record_write("a", 1, math.inf)
+        with pytest.raises(ValueError):
+            store.record_delete("a", math.nan)
+
+    def test_integer_and_negative_timestamps_still_accepted(self, store):
+        store.record_write("a", 1, -5)
+        store.record_write("a", 2, 0)
+        store.record_delete("a", 3)
+        assert store.write_count("a") == 2
 
 
 class TestVersionedValue:
