@@ -1,9 +1,9 @@
-"""Columnar journal backbone: batch ingest, mmap resume, slice payloads.
+"""Columnar journal backbone: batch ingest and mmap resume.
 
 PR 7 re-platformed the event journal on columnar numpy segments and gave
 the correlation matrix a vectorised closed-group ingest
 (:meth:`~repro.core.correlation.CorrelationMatrix.observe_groups_batch`).
-This benchmark pins the three claims that motivated it, on one seeded
+This benchmark pins the two claims that motivated it, on one seeded
 dense co-written trace:
 
 1. ``ingest_speedup`` — folding closed write groups into the matrix in
@@ -15,14 +15,10 @@ dense co-written trace:
    :func:`~repro.ttkv.columnar.load_columnar` (mmap + cursor seek)
    versus decoding a JSON event log and replaying it into a list
    journal.  Full mode enforces the ≥10x acceptance floor.
-3. ``slice_bytes`` — the interned columnar hand-off payload for a
-   worker-bound journal slice, versus the same slice as per-event JSON
-   dicts; the gate fails if the batch payload stops being smaller.
 
 **Correctness is asserted inside every timed run**: the batch-ingested
 matrix must equal the loop-ingested one, the resumed journal must equal
-the original, the decoded slice payload must equal the plain slice, and a
-columnar-backend pipeline must produce the list backend's exact clusters
+the original, and a columnar-backend pipeline must produce the list backend's exact clusters
 at several stream prefixes (``columnar_equals_list``).
 
 Run as a script for CI/quick use::
@@ -53,12 +49,7 @@ from repro.ttkv.columnar import (
     load_columnar,
     save_columnar,
 )
-from repro.ttkv.journal import (
-    EventJournal,
-    decode_event_batch,
-    encode_event,
-    encode_event_batch,
-)
+from repro.ttkv.journal import EventJournal, encode_event
 from repro.ttkv.store import DELETED, TTKV
 
 #: Trace-generation seed; recorded in the JSON so the CI regression gate
@@ -206,25 +197,6 @@ def _time_resume(events: list[tuple], workdir: Path) -> dict:
     }
 
 
-def _slice_payloads(events: list[tuple]) -> dict:
-    journal = ColumnarJournal()
-    for event in events:
-        journal.append_event(event)
-    view = journal.events_from(len(events) // 2)
-    batch_payload = encode_event_batch(view)
-    per_event_payload = [encode_event(e) for e in view]
-    if decode_event_batch(batch_payload) != view.materialize():
-        raise AssertionError("batch slice payload did not round-trip")
-    batch_bytes = len(json.dumps(batch_payload).encode("utf-8"))
-    dict_bytes = len(json.dumps(per_event_payload).encode("utf-8"))
-    return {
-        "slice_events": len(view),
-        "slice_bytes": batch_bytes,
-        "per_event_slice_bytes": dict_bytes,
-        "slice_shrink": dict_bytes / batch_bytes if batch_bytes else 0.0,
-    }
-
-
 def _pipelines_agree(events: list[tuple], prefixes: int, rng) -> bool:
     """Columnar and list pipelines must agree at several stream prefixes."""
     stores = {b: TTKV(journal_backend=b) for b in ("list", "columnar")}
@@ -267,7 +239,6 @@ def run_benchmark(quick: bool = False) -> dict:
     record.update(_time_ingest(groups))
     with tempfile.TemporaryDirectory(prefix="bench_ingest_") as workdir:
         record.update(_time_resume(events, Path(workdir)))
-    record.update(_slice_payloads(events))
     record["columnar_equals_list"] = _pipelines_agree(
         events[: 3000 if quick else 8000], prefixes=5, rng=rng
     )
@@ -277,7 +248,7 @@ def run_benchmark(quick: bool = False) -> dict:
 def render(record: dict) -> str:
     return "\n".join(
         [
-            "columnar journal backbone (batch ingest / mmap resume / slices):",
+            "columnar journal backbone (batch ingest / mmap resume):",
             f"  matrix ingest, {record['groups']} closed groups : "
             f"per-event {record['per_event_seconds'] * 1000:8.1f} ms, "
             f"batched {record['batch_seconds'] * 1000:7.1f} ms "
@@ -287,10 +258,6 @@ def render(record: dict) -> str:
             f"json replay {record['json_decode_seconds'] * 1000:8.1f} ms, "
             f"mmap {record['mmap_seconds'] * 1000:7.1f} ms "
             f"({record['resume_speedup']:5.1f}x)",
-            f"  worker slice, {record['slice_events']} events    : "
-            f"batch payload {record['slice_bytes']:,} B vs per-event dicts "
-            f"{record['per_event_slice_bytes']:,} B "
-            f"({record['slice_shrink']:.1f}x smaller)",
             f"  columnar ≡ list ≡ batch   : {record['columnar_equals_list']}",
         ]
     )
@@ -301,8 +268,6 @@ def _gate(record: dict, quick: bool) -> list[str]:
     failures = []
     if not record["columnar_equals_list"]:
         failures.append("columnar pipeline diverged from the list backend")
-    if record["slice_bytes"] >= record["per_event_slice_bytes"]:
-        failures.append("batch slice payload is no smaller than event dicts")
     if quick:
         return failures
     if record["ingest_speedup"] < INGEST_FLOOR:

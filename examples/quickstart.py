@@ -7,12 +7,12 @@ paper's clustering (1-second sliding window, complete linkage,
 correlation threshold 2), and inspect the clusters and their historical
 versions.  The second half shows the way Ocasta actually runs — a live
 :class:`ShardedPipeline` session, one shard per application prefix,
-updated concurrently through a pluggable executor.
+updating only the shards whose journals advanced.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import TTKV, ShardedPipeline, ThreadShardExecutor, cluster_settings
+from repro import TTKV, ShardedPipeline, cluster_settings
 from repro.core.cluster_model import cluster_versions
 
 
@@ -49,24 +49,20 @@ def main() -> None:
     print(f"\nRollback plan to the first version: {plan.assignments}")
 
     # Deployment mode: clustering runs continuously alongside logging.
-    # A ShardedPipeline keeps one engine per application prefix and, with
-    # an executor, updates the dirty shards concurrently; only shards
-    # whose journals advanced do any work at all.
-    pool = ThreadShardExecutor(4)
-    live = ShardedPipeline(ttkv, shard_prefixes=("mail/", "view/"), executor=pool)
+    # A ShardedPipeline keeps one engine per application prefix; only
+    # shards whose journals advanced do any work at all.
+    live = ShardedPipeline(ttkv, shard_prefixes=("mail/", "view/"))
     live_clusters = live.update()
     stats = live.last_stats
     print(
         f"\nLive sharded session: {len(live_clusters)} clusters from "
         f"{stats.shards_updated}/{stats.shards_total} shards "
-        f"(slowest {stats.slowest_shard!r}, "
-        f"{stats.parallel_speedup:.1f}x overlap)"
+        f"(slowest {stats.slowest_shard!r})"
     )
     assert [c.sorted_keys() for c in live_clusters] == [
         c.sorted_keys() for c in clusters
     ], "streaming must equal batch"
     live.close()
-    pool.close()
 
 
 if __name__ == "__main__":

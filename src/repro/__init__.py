@@ -51,35 +51,22 @@ True
 >>> resumed.last_stats.events_consumed         # zero already-read events
 0
 
-On a machine hosting many applications the shard updates are independent
-— engines share no state — so the session takes a pluggable execution
-strategy (:mod:`repro.core.executors`): serial by default, or a thread or
-process pool via ``executor=``.  Per-shard wall times, the slowest shard
-and the overlap factor land in ``last_stats``:
+An update walks only the shards whose journals advanced, one after
+another in the calling thread; per-shard wall times and the slowest shard
+land in ``last_stats``.  Concurrency lives one tier up:
+:class:`FleetPipeline` runs each machine's update on the event loop's
+default thread pool.
 
->>> from repro import ShardedPipeline, ThreadShardExecutor
->>> pool = ThreadShardExecutor(4)
->>> concurrent = ShardedPipeline(
-...     ttkv, shard_prefixes=("mail/", "editor/"), executor=pool
-... )
->>> [c.sorted_keys() for c in concurrent.update()]
-[['mail/mark_seen', 'mail/mark_seen_timeout'], ['editor/zoom']]
->>> sorted(concurrent.last_stats.shard_timings) == sorted(concurrent.shard_ids)
-True
->>> concurrent.close(); pool.close()
-
-(``python -m repro stream --executor thread --workers 4`` is the same
-thing from the command line; ``--executor process`` pins every shard to
-a sticky worker process that caches the restored engine, so steady-state
-updates ship only the unread journal slice — the full checkpoint
-serialization boundary is crossed on cold start and after
-invalidations.)
+>>> ttkv.record_write("editor/zoom", 2.0, 900.0)
+>>> _ = resumed.update()
+>>> list(resumed.last_stats.shard_timings), resumed.last_stats.slowest_shard
+(['editor/'], 'editor/')
 
 Single-application stores can stay on the unsharded
 :class:`IncrementalPipeline` (a sharded session with one catch-all shard),
 and one-shot batch clustering over a recorded trace gives identical
 results per prefix — the equivalence is property-tested for arbitrary
-stream prefixes and all executor strategies:
+stream prefixes:
 
 >>> from repro import cluster_settings
 >>> [c.sorted_keys() for c in cluster_settings(ttkv, key_filter="mail/")]
@@ -101,17 +88,12 @@ from repro.core import (
     ClusterSet,
     ClusterVersion,
     IncrementalPipeline,
-    ProcessShardExecutor,
     RepairEngine,
     SearchStrategy,
-    SerialExecutor,
     ShardEngine,
-    ShardExecutor,
     ShardedPipeline,
-    ThreadShardExecutor,
     UpdateStats,
     cluster_settings,
-    make_executor,
     singleton_clusters,
 )
 from repro.fleet import FleetCorrelationMerge, FleetPipeline, FleetQueryServer
@@ -137,11 +119,6 @@ __all__ = [
     "RepairEngine",
     "SearchStrategy",
     "ShardEngine",
-    "ShardExecutor",
-    "SerialExecutor",
-    "ThreadShardExecutor",
-    "ProcessShardExecutor",
-    "make_executor",
     "ShardedJournal",
     "ShardedPipeline",
     "UpdateStats",

@@ -11,7 +11,7 @@ Usage::
     python -m repro ablations
     python -m repro stream --app "Chrome Browser" --chunks 10
     python -m repro stream --shards 4 --state session.json
-    python -m repro stream --shards 8 --executor thread --workers 4 --timings
+    python -m repro stream --shards 8 --timings
     python -m repro stream --scenario scenarios/clock_skew.yaml
     python -m repro fleet --machines 4 --chunks 6 --state fleet-state/
     python -m repro fleet --scenario scenarios/flash_crowd.yaml
@@ -34,26 +34,6 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
         ) from None
-
-
-def _worker_count(text: str) -> int:
-    """``--workers`` through the executors' own validation rule.
-
-    One source of truth: ``--workers 0`` fails with exactly the message
-    ``ProcessShardExecutor(workers=0)`` raises, re-wrapped for argparse.
-    """
-    from repro.core.executors import _checked_workers
-
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be an integer, got {text!r}"
-        ) from None
-    try:
-        return _checked_workers(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,16 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the session state back to it on exit",
     )
     stream.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial",
-        help="shard execution strategy: walk shards serially, or update "
-        "them concurrently on a thread or process pool",
-    )
-    stream.add_argument(
-        "--workers", type=_worker_count, default=None, metavar="N",
-        help="worker count for --executor thread/process "
-        "(default: the machine's CPU count; ignored by serial)",
-    )
-    stream.add_argument(
         "--repair-mode", choices=("splice", "rebuild"), default=None,
         dest="repair_mode",
         help="dirty-component repair strategy: splice cached dendrogram "
@@ -168,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--timings", action="store_true",
         help="append ingest timing (journal append + shard routing, "
-        "separate from compute and hand-off), per-shard timing (slowest "
-        "shard, overlap factor, process hand-off vs compute split), "
+        "separate from compute), per-shard timing (slowest shard), "
         "dendrogram-repair counters (merges spliced vs recomputed) and "
         "kernel dispatch (components on the numpy kernel) to each "
         "progress line",
@@ -203,16 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--state", default=None, metavar="DIR",
         help="fleet checkpoint directory: resume from it if it exists, and "
         "write per-machine checkpoints plus a manifest back on exit",
-    )
-    fleet.add_argument(
-        "--executor", choices=("serial", "thread"), default="serial",
-        help="shard execution strategy shared by all machines (the process "
-        "executor's worker-affinity cache is per-session state, so it is "
-        "not offered here)",
-    )
-    fleet.add_argument(
-        "--workers", type=_worker_count, default=None, metavar="N",
-        help="worker count for --executor thread (ignored by serial)",
     )
     fleet.add_argument(
         "--max-lag", type=int, default=None, dest="max_lag", metavar="N",
@@ -396,8 +355,8 @@ def _ingest_suffix(ingest_seconds: float) -> str:
     """Ingest tail for one progress line (``--timings``).
 
     Covers journal append plus shard routing only — the pipeline compute
-    and any process hand-off are reported separately by
-    :func:`_timing_suffix`, so the three phases can be compared.
+    is reported separately by :func:`_timing_suffix`, so the two phases
+    can be compared.
     """
     return f"; ingest {ingest_seconds * 1000:.1f}ms (append + routing)"
 
@@ -413,17 +372,9 @@ def _timing_suffix(stats) -> str:
         if stats.kernel_used
         else "python kernel"
     )
-    compute = sum(stats.shard_timings.values())
-    handoff = (
-        f", hand-off {stats.handoff_seconds * 1000:.1f}ms vs "
-        f"compute {compute * 1000:.1f}ms"
-        if stats.handoff_seconds
-        else ""
-    )
     return (
         f"; slowest shard {label} "
-        f"{stats.shard_timings[slowest] * 1000:.1f}ms, "
-        f"{stats.parallel_speedup:.1f}x overlap{handoff}; "
+        f"{stats.shard_timings[slowest] * 1000:.1f}ms; "
         f"merges {stats.merges_reused} spliced/"
         f"{stats.merges_recomputed} recomputed; {kernel}"
     )
@@ -434,108 +385,98 @@ def _cmd_stream(args) -> str:
     import time
     from pathlib import Path
 
-    from repro.core.executors import make_executor
     from repro.core.sharded import ShardedPipeline
     from repro.ttkv.store import TTKV
 
     trace, apps, prefixes = _stream_trace(args)
     events = trace.ttkv.write_events()
     state_path = Path(args.state) if args.state else None
-    executor = make_executor(args.executor, args.workers)
     lines = []
 
-    try:
-        if state_path is not None and state_path.exists():
-            # Resume: the deployment re-opens its recorded store and the
-            # session picks up at its checkpointed cursors — consumed events
-            # are never read again.
-            from repro.fleet.checkpointing import load_json_checkpoint
+    if state_path is not None and state_path.exists():
+        # Resume: the deployment re-opens its recorded store and the
+        # session picks up at its checkpointed cursors — consumed events
+        # are never read again.
+        from repro.fleet.checkpointing import load_json_checkpoint
 
-            live = TTKV(journal_backend=args.journal or "list")
+        live = TTKV(journal_backend=args.journal or "list")
+        ingest_start = time.perf_counter()
+        live.record_events(events)
+        ingest_seconds = time.perf_counter() - ingest_start
+        pipeline = ShardedPipeline.from_state(
+            live,
+            load_json_checkpoint(state_path, kind="session checkpoint"),
+            repair_mode=args.repair_mode,
+            kernel=args.kernel,
+            journal_backend=args.journal,
+        )
+        clusters = pipeline.update()
+        stats = pipeline.last_stats
+        lines.append(
+            f"resumed session from {state_path} "
+            "(checkpoint parameters take precedence)"
+        )
+        line = (
+            f"  {stats.events_consumed} new event(s) consumed, "
+            f"{len(events) - stats.events_consumed} already-read event(s) "
+            f"skipped -> {len(clusters)} clusters "
+            f"({len(clusters.multi_clusters())} multi-key)"
+        )
+        if args.timings:
+            line += _ingest_suffix(ingest_seconds) + _timing_suffix(stats)
+        lines.append(line)
+    else:
+        live = TTKV(journal_backend=args.journal or "list")
+        pipeline = ShardedPipeline(
+            live,
+            shard_prefixes=prefixes,
+            window=args.window,
+            correlation_threshold=args.threshold,
+            repair_mode=args.repair_mode or "splice",
+            kernel=args.kernel or "auto",
+            journal_backend=args.journal or "auto",
+        )
+        chunk_size = max(1, -(-len(events) // max(1, args.chunks)))
+        chunks = -(-len(events) // chunk_size) if events else 0
+        sharded = (
+            f", sharded on {len(prefixes)} app prefix(es)" if prefixes else ""
+        )
+        lines.append(
+            f"streaming {len(events)} modification events from a "
+            f"{args.days}-day trace of {len(apps)} app(s) in {chunks} "
+            f"chunk(s){sharded}"
+        )
+        for start in range(0, len(events), chunk_size):
             ingest_start = time.perf_counter()
-            live.record_events(events)
+            live.record_events(events[start:start + chunk_size])
             ingest_seconds = time.perf_counter() - ingest_start
-            pipeline = ShardedPipeline.from_state(
-                live,
-                load_json_checkpoint(state_path, kind="session checkpoint"),
-                executor=executor,
-                repair_mode=args.repair_mode,
-                kernel=args.kernel,
-                journal_backend=args.journal,
-            )
             clusters = pipeline.update()
             stats = pipeline.last_stats
-            lines.append(
-                f"resumed session from {state_path} "
-                "(checkpoint parameters take precedence)"
-            )
             line = (
-                f"  {stats.events_consumed} new event(s) consumed, "
-                f"{len(events) - stats.events_consumed} already-read event(s) "
-                f"skipped -> {len(clusters)} clusters "
-                f"({len(clusters.multi_clusters())} multi-key)"
+                f"  +{stats.events_consumed:5d} events -> "
+                f"{len(clusters):4d} clusters "
+                f"({len(clusters.multi_clusters())} multi-key); "
+                f"{stats.components_reclustered}/{stats.components_total} "
+                "components re-agglomerated"
             )
+            if stats.shards_total > 1:
+                line += (
+                    f"; {stats.shards_updated}/{stats.shards_total} "
+                    "shards updated"
+                )
             if args.timings:
                 line += _ingest_suffix(ingest_seconds) + _timing_suffix(stats)
             lines.append(line)
-        else:
-            live = TTKV(journal_backend=args.journal or "list")
-            pipeline = ShardedPipeline(
-                live,
-                shard_prefixes=prefixes,
-                window=args.window,
-                correlation_threshold=args.threshold,
-                executor=executor,
-                repair_mode=args.repair_mode or "splice",
-                kernel=args.kernel or "auto",
-                journal_backend=args.journal or "auto",
-            )
-            chunk_size = max(1, -(-len(events) // max(1, args.chunks)))
-            chunks = -(-len(events) // chunk_size) if events else 0
-            sharded = (
-                f", sharded on {len(prefixes)} app prefix(es)" if prefixes else ""
-            )
-            concurrency = (
-                f" [{args.executor} executor]" if args.executor != "serial" else ""
-            )
-            lines.append(
-                f"streaming {len(events)} modification events from a "
-                f"{args.days}-day trace of {len(apps)} app(s) in {chunks} "
-                f"chunk(s){sharded}{concurrency}"
-            )
-            for start in range(0, len(events), chunk_size):
-                ingest_start = time.perf_counter()
-                live.record_events(events[start:start + chunk_size])
-                ingest_seconds = time.perf_counter() - ingest_start
-                clusters = pipeline.update()
-                stats = pipeline.last_stats
-                line = (
-                    f"  +{stats.events_consumed:5d} events -> "
-                    f"{len(clusters):4d} clusters "
-                    f"({len(clusters.multi_clusters())} multi-key); "
-                    f"{stats.components_reclustered}/{stats.components_total} "
-                    "components re-agglomerated"
-                )
-                if stats.shards_total > 1:
-                    line += (
-                        f"; {stats.shards_updated}/{stats.shards_total} "
-                        "shards updated"
-                    )
-                if args.timings:
-                    line += _ingest_suffix(ingest_seconds) + _timing_suffix(stats)
-                lines.append(line)
 
-        if state_path is not None:
-            from repro.fleet.checkpointing import atomic_write_json
+    if state_path is not None:
+        from repro.fleet.checkpointing import atomic_write_json
 
-            state_path.parent.mkdir(parents=True, exist_ok=True)
-            # tmp+fsync+rename: a crash mid-write can never leave a torn
-            # checkpoint at the final name
-            atomic_write_json(state_path, pipeline.to_state())
-            lines.append(f"session state checkpointed to {state_path}")
-        pipeline.close()
-    finally:
-        executor.close()
+        state_path.parent.mkdir(parents=True, exist_ok=True)
+        # tmp+fsync+rename: a crash mid-write can never leave a torn
+        # checkpoint at the final name
+        atomic_write_json(state_path, pipeline.to_state())
+        lines.append(f"session state checkpointed to {state_path}")
+    pipeline.close()
     return "\n".join(lines)
 
 
@@ -543,7 +484,6 @@ def _cmd_fleet(args) -> str:
     import asyncio
     from pathlib import Path
 
-    from repro.core.executors import make_executor
     from repro.fleet import FleetPipeline
     from repro.ttkv.store import TTKV
     from repro.workload.machines import profile_by_name
@@ -563,83 +503,73 @@ def _cmd_fleet(args) -> str:
         )
     total_events = sum(len(events) for events in machine_events.values())
     state_dir = Path(args.state) if args.state else None
-    executor = make_executor(args.executor, args.workers)
     lines = []
 
-    try:
-        if state_dir is not None and (state_dir / "fleet.json").exists():
-            # Resume: each machine re-opens its recorded store; the
-            # restored sessions pick up at their checkpointed cursors and
-            # the merge rebuilds from their live evidence snapshots.
-            stores = {}
-            for machine_id, events in machine_events.items():
-                store = TTKV()
-                store.record_events(events)
-                stores[machine_id] = store
-            fleet = FleetPipeline.from_state_dir(
-                state_dir, stores, executor=executor, max_lag=args.max_lag
+    if state_dir is not None and (state_dir / "fleet.json").exists():
+        # Resume: each machine re-opens its recorded store; the
+        # restored sessions pick up at their checkpointed cursors and
+        # the merge rebuilds from their live evidence snapshots.
+        stores = {}
+        for machine_id, events in machine_events.items():
+            store = TTKV()
+            store.record_events(events)
+            stores[machine_id] = store
+        fleet = FleetPipeline.from_state_dir(
+            state_dir, stores, max_lag=args.max_lag
+        )
+        clusters = fleet.update()
+        stats = fleet.last_stats
+        lines.append(
+            f"resumed fleet session from {state_dir} "
+            f"({len(stores)} machine checkpoint(s))"
+        )
+        lines.append(
+            f"  {stats.events_consumed} new event(s) consumed, "
+            f"{total_events - stats.events_consumed} already-read "
+            f"event(s) skipped -> {len(clusters)} fleet clusters "
+            f"({len(clusters.multi_clusters())} multi-key)"
+        )
+    else:
+        fleet = FleetPipeline(
+            window=args.window,
+            correlation_threshold=args.threshold,
+            max_lag=args.max_lag,
+        )
+        for machine_id in machine_events:
+            fleet.add_machine(
+                machine_id, TTKV(), machine_prefixes[machine_id]
             )
-            clusters = fleet.update()
-            stats = fleet.last_stats
-            lines.append(
-                f"resumed fleet session from {state_dir} "
-                f"({len(stores)} machine checkpoint(s))"
-            )
-            lines.append(
-                f"  {stats.events_consumed} new event(s) consumed, "
-                f"{total_events - stats.events_consumed} already-read "
-                f"event(s) skipped -> {len(clusters)} fleet clusters "
-                f"({len(clusters.multi_clusters())} multi-key)"
-            )
-        else:
-            fleet = FleetPipeline(
-                window=args.window,
-                correlation_threshold=args.threshold,
-                executor=executor,
-                max_lag=args.max_lag,
-            )
-            for machine_id in machine_events:
-                fleet.add_machine(
-                    machine_id, TTKV(), machine_prefixes[machine_id]
-                )
-            concurrency = (
-                f" [{args.executor} executor]"
-                if args.executor != "serial"
-                else ""
-            )
-            lines.append(
-                f"fleet of {args.machines} machine(s) [{args.profile}] "
-                f"streaming {total_events} events over {args.chunks} "
-                f"round(s){concurrency}"
-            )
-            feeds = {}
-            for machine_id, events in machine_events.items():
-                size = max(1, -(-len(events) // max(1, args.chunks)))
-                feeds[machine_id] = [
-                    events[start : start + size]
-                    for start in range(0, len(events), size)
-                ]
+        lines.append(
+            f"fleet of {args.machines} machine(s) [{args.profile}] "
+            f"streaming {total_events} events over {args.chunks} "
+            "round(s)"
+        )
+        feeds = {}
+        for machine_id, events in machine_events.items():
+            size = max(1, -(-len(events) // max(1, args.chunks)))
+            feeds[machine_id] = [
+                events[start : start + size]
+                for start in range(0, len(events), size)
+            ]
 
-            def on_round(report):
-                lines.append(
-                    f"  round {report.index}: +{report.events_fed:5d} events "
-                    f"-> {len(report.clusters):4d} fleet clusters "
-                    f"({len(report.clusters.multi_clusters())} multi-key); "
-                    f"{report.machines_updated}/{report.machines_total} "
-                    "machines updated; "
-                    f"{report.merge.components_reclustered}/"
-                    f"{report.merge.components_total} "
-                    "fleet components re-agglomerated"
-                )
+        def on_round(report):
+            lines.append(
+                f"  round {report.index}: +{report.events_fed:5d} events "
+                f"-> {len(report.clusters):4d} fleet clusters "
+                f"({len(report.clusters.multi_clusters())} multi-key); "
+                f"{report.machines_updated}/{report.machines_total} "
+                "machines updated; "
+                f"{report.merge.components_reclustered}/"
+                f"{report.merge.components_total} "
+                "fleet components re-agglomerated"
+            )
 
-            asyncio.run(fleet.drive(feeds, on_round=on_round))
+        asyncio.run(fleet.drive(feeds, on_round=on_round))
 
-        if state_dir is not None:
-            fleet.to_state_dir(state_dir)
-            lines.append(f"fleet state checkpointed to {state_dir}")
-        fleet.close()
-    finally:
-        executor.close()
+    if state_dir is not None:
+        fleet.to_state_dir(state_dir)
+        lines.append(f"fleet state checkpointed to {state_dir}")
+    fleet.close()
     return "\n".join(lines)
 
 
@@ -661,7 +591,6 @@ def _load_cli_scenario(path: str, extra_env: dict | None = None):
 
 
 def _cmd_stream_scenario(args) -> str:
-    from repro.core.executors import make_executor
     from repro.scenarios import build_scenario, run_stream_scenario
 
     if args.state is not None:
@@ -685,16 +614,9 @@ def _cmd_stream_scenario(args) -> str:
         )
 
     chunk_events = max(1, -(-len(machine.delivery) // max(1, args.chunks)))
-    executor = make_executor(args.executor, args.workers)
-    try:
-        result = run_stream_scenario(
-            built,
-            chunk_events=chunk_events,
-            executor=executor,
-            on_update=on_update,
-        )
-    finally:
-        executor.close()
+    result = run_stream_scenario(
+        built, chunk_events=chunk_events, on_update=on_update
+    )
     lines.append(
         f"  {result.updates} update(s); "
         f"{result.reorders_absorbed} reorder(s) absorbed, "
@@ -707,7 +629,6 @@ def _cmd_stream_scenario(args) -> str:
 
 
 def _cmd_fleet_scenario(args) -> str:
-    from repro.core.executors import make_executor
     from repro.scenarios import build_scenario, run_fleet_scenario
 
     if args.state is not None:
@@ -753,11 +674,7 @@ def _cmd_fleet_scenario(args) -> str:
             )
         lines.append(line)
 
-    executor = make_executor(args.executor, args.workers)
-    try:
-        result = run_fleet_scenario(built, executor=executor, on_round=on_round)
-    finally:
-        executor.close()
+    result = run_fleet_scenario(built, on_round=on_round)
     lines.append(
         f"  {len(result.rounds)} round(s) driven, "
         f"{result.events_consumed} event(s) consumed, "

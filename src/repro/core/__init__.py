@@ -51,13 +51,6 @@ from repro.core.cluster_model import (
 from repro.core.pipeline import cluster_settings, singleton_clusters
 from repro.core.incremental import ClusterSession, IncrementalPipeline, UpdateStats
 from repro.core.sharded import ShardEngine, ShardedPipeline
-from repro.core.executors import (
-    ProcessShardExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    ThreadShardExecutor,
-    make_executor,
-)
 from repro.core.sorting import sort_clusters_for_search
 from repro.core.search import Candidate, SearchStrategy, search_order
 from repro.core.accuracy import (
@@ -100,11 +93,6 @@ __all__ = [
     "UpdateStats",
     "ShardEngine",
     "ShardedPipeline",
-    "ShardExecutor",
-    "SerialExecutor",
-    "ThreadShardExecutor",
-    "ProcessShardExecutor",
-    "make_executor",
     "Cluster",
     "ClusterSet",
     "ClusterVersion",

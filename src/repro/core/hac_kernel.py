@@ -1,16 +1,13 @@
 """Array-backed HAC kernel: GIL-free agglomeration over dense blocks.
 
 The pure-Python agglomeration in :mod:`repro.core.clustering` is exact and
-the permanent reference implementation, but it holds the GIL for the whole
-merge loop, so the thread executor's shard overlap never becomes
-wall-clock speedup on stock CPython, and every seeded repair pays a
-Python-level sweep over all component edges to derive its starting
-distances.  This module is the hot-path replacement for large components:
+the permanent reference implementation, but every merge step is a
+Python-level loop, and every seeded repair pays a Python-level sweep over
+all component edges to derive its starting distances.  This module is the hot-path replacement for large components:
 
 - :func:`agglomerate_square` runs the merge loop over a dense
   ``float64`` distance matrix with vectorized Lance–Williams updates and
-  nearest-neighbour maintenance — numpy's reductions release the GIL, so
-  concurrent shard updates on a thread pool genuinely overlap;
+  nearest-neighbour maintenance;
 - :func:`seed_matrix` derives the inter-cluster linkage distances of an
   arbitrary seed partition by segmented ``max``/``min`` reductions over a
   component's cached distance block

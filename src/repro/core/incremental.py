@@ -98,7 +98,6 @@ class IncrementalPipeline(ShardedPipeline):
         linkage: str = LINKAGE_COMPLETE,
         key_filter: str | None = None,
         grouping: str = GROUPING_SLIDING,
-        executor=None,
         repair_mode: str = REPAIR_SPLICE,
         kernel: str = KERNEL_AUTO,
         journal_backend: str = BACKEND_AUTO,
@@ -112,7 +111,6 @@ class IncrementalPipeline(ShardedPipeline):
             key_filter=key_filter,
             grouping=grouping,
             catch_all=True,
-            executor=executor,
             repair_mode=repair_mode,
             kernel=kernel,
             journal_backend=journal_backend,

@@ -70,7 +70,7 @@ def diff_sorted(
     """(removed, added) between two lists already in display order.
 
     A single merge-walk over the two lists — used where a wholesale
-    replacement (restore, worker hand-off) must be turned into the delta
+    replacement (a full component rescan) must be turned into the delta
     the incremental order maintenance consumes.
     """
     removed: list[frozenset[str]] = []

@@ -59,10 +59,8 @@ Example — two applications, updated and checkpointed::
 from __future__ import annotations
 
 import time
-import uuid
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
 from repro.core.clustering import LINKAGE_COMPLETE, _LINKAGES
 from repro.core.cluster_model import ClusterSet
@@ -87,31 +85,19 @@ from repro.core.ordering import SortedKeySets, diff_sorted
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
 from repro.core.windowing import GROUPING_SLIDING, StreamingGroupExtractor
 from repro.exceptions import CheckpointError, CorruptCheckpointError
-from repro.ttkv.columnar import BACKEND_AUTO, journal_backend, resolve_backend
-from repro.ttkv.journal import (
-    EventJournal,
-    JournalCursor,
-    decode_event,
-    encode_event,
-    encode_event_batch,
-)
+from repro.ttkv.columnar import BACKEND_AUTO, resolve_backend
+from repro.ttkv.journal import EventJournal, JournalCursor, decode_event, encode_event
 from repro.ttkv.sharding import ShardedJournal
 from repro.ttkv.store import TTKV
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.executors import ShardExecutor
-
 #: Checkpoint format version written by :meth:`ShardedPipeline.to_state`.
-#: Version 2 added matrix compaction: shard states carry a ``"compacted"``
-#: aggregate baseline and their ``"groups"`` list holds only the
-#: retractable tail.  Version 3 added the columnar journal backbone: the
-#: session params record ``"journal_backend"``.  Version-1 and version-2
-#: checkpoints still load (missing backend defaults to ``"auto"``;
-#: version-1 group histories are compacted on the first update).
+#: Shard states carry a ``"compacted"`` aggregate baseline, their
+#: ``"groups"`` list holds only the retractable tail, and the session
+#: params record ``"journal_backend"``.
 STATE_VERSION = 3
 
 #: Checkpoint versions :meth:`ShardedPipeline.from_state` accepts.
-SUPPORTED_STATE_VERSIONS = (1, 2, 3)
+SUPPORTED_STATE_VERSIONS = (3,)
 
 #: Minimum closed groups per update before :meth:`ShardEngine.
 #: _register_stream` takes the matrix's bulk-ingest path; the routine
@@ -132,19 +118,8 @@ class UpdateStats:
     full rebuild that ``rebuilt`` reports.
 
     ``shard_timings`` maps each updated shard id to the wall-clock seconds
-    its engine spent *computing* — journal materialisation, checkpoint
-    restore and re-export on a process-pool worker are excluded, so the
-    timings are comparable across executors; that excluded serialization
-    cost is aggregated in ``handoff_seconds`` (0.0 for the in-process
-    executors).  ``slowest_shard`` is the id with the largest timing
-    (``None`` when nothing ran).
-    ``parallel_speedup`` is the overlap factor of the update: total
-    per-shard busy seconds divided by the wall time of the whole shard
-    pass.  With the serial executor it is at most 1.0; a parallel executor
-    pushes it towards the number of shards that actually overlapped.  It
-    is *not* a throughput claim — on a GIL-bound interpreter threads can
-    overlap without finishing sooner; compare ``serial`` vs ``thread``
-    wall clocks (``benchmarks/bench_parallel.py``) for that.
+    its engine's ``update()`` took; ``slowest_shard`` is the id with the
+    largest timing (``None`` when nothing ran).
 
     ``merges_reused`` / ``merges_recomputed`` account for the spliced
     dendrogram repair (:mod:`repro.core.dendro_repair`): of all the
@@ -173,8 +148,6 @@ class UpdateStats:
     shards_total: int = 1
     shard_timings: dict[str, float] = field(default_factory=dict)
     slowest_shard: str | None = None
-    parallel_speedup: float = 1.0
-    handoff_seconds: float = 0.0
     merges_reused: int = 0
     merges_recomputed: int = 0
     kernel_used: bool = False
@@ -185,19 +158,12 @@ class UpdateStats:
 class ShardUpdate:
     """Result of one :meth:`ShardEngine.update`: stats plus a change flag.
 
-    ``seconds`` is the wall-clock cost of the engine's own ``update()`` —
-    pure shard compute, whichever executor produced it.
-    ``handoff_seconds`` is everything a process-pool round adds on top:
-    journal materialisation, checkpoint restore and re-export in the
-    worker plus the parent-side adoption.  In-process executors report
-    0.0, so ``seconds`` (and the ``shard_timings`` built from it) stay
-    comparable across executors.
+    ``seconds`` is the wall-clock cost of the engine's own ``update()``.
     """
 
     stats: UpdateStats
     changed: bool
     seconds: float = 0.0
-    handoff_seconds: float = 0.0
 
 
 class ShardEngine:
@@ -223,8 +189,7 @@ class ShardEngine:
     sub-clusters (:mod:`repro.core.dendro_repair`); ``"rebuild"`` always
     re-agglomerates from singletons.  Both modes produce identical
     clusters — the cache only changes how much work an update does, and
-    it survives checkpoints (:meth:`to_state`) and the process-executor
-    hand-off (:meth:`export_task`).
+    it survives checkpoints (:meth:`to_state`).
     """
 
     def __init__(
@@ -248,17 +213,9 @@ class ShardEngine:
         self._grouping = grouping
         self._repair_mode = check_repair_mode(repair_mode)
         self._kernel = check_kernel(kernel)
-        # Identity tag for worker-affinity caching: a process executor
-        # remembers which engine a sticky worker holds by this key (an
-        # ``id()`` could be reused after garbage collection; a uuid not).
-        self._affinity_key = uuid.uuid4().hex
-        self._state_epoch = 0
         self._reset_state()
 
     def _reset_state(self) -> None:
-        # Any reset invalidates engine copies cached by out-of-process
-        # workers: bump the epoch so their slice fast path stops matching.
-        self._state_epoch += 1
         # window and grouping are validated by the extractor
         self._extractor = StreamingGroupExtractor(
             self._window, grouping=self._grouping
@@ -283,23 +240,6 @@ class ShardEngine:
     @property
     def journal(self) -> EventJournal:
         return self._journal
-
-    @property
-    def affinity_key(self) -> str:
-        """Stable identity tag for worker-side engine caching."""
-        return self._affinity_key
-
-    @property
-    def state_epoch(self) -> int:
-        """Counter of state mutations; tags :meth:`export_task` payloads.
-
-        A sticky process-pool worker caches the engine it restored under
-        ``(affinity_key, state_epoch, cursor position)``; any mutation the
-        worker did not itself produce — an update, a restore, a rebuild, a
-        retune — bumps the epoch, so the worker's cached copy stops
-        matching and the executor falls back to the full-state hand-off.
-        """
-        return self._state_epoch
 
     @property
     def cursor_position(self) -> int:
@@ -365,7 +305,6 @@ class ShardEngine:
         if check_repair_mode(mode) == self._repair_mode:
             return
         self._repair_mode = mode
-        self._state_epoch += 1
         if mode != REPAIR_SPLICE:
             self._dendro_cache.clear()
             self._seed_cache.clear()
@@ -381,7 +320,6 @@ class ShardEngine:
         if check_kernel(kernel) == self._kernel:
             return
         self._kernel = kernel
-        self._state_epoch += 1
         self._seed_cache.clear()
 
     def needs_update(self) -> bool:
@@ -430,9 +368,6 @@ class ShardEngine:
                 rebuilt = True
                 rewound, events, cursor = self._journal.read_flexible(None)
         self._cursor = cursor
-        if events or rewound:
-            # state is about to diverge from any worker-cached copy
-            self._state_epoch += 1
 
         closed_count, dirty = self._register_stream(events)
 
@@ -749,9 +684,8 @@ class ShardEngine:
 
         The per-component dendrogram cache rides along (compactly encoded
         via :func:`~repro.core.dendro_repair.dendrogram_to_state`), so a
-        resumed session — or a process-pool worker receiving this state
-        through :meth:`export_task` — keeps splicing instead of paying
-        one wholesale re-agglomeration per component to rebuild it.
+        resumed session keeps splicing instead of paying one wholesale
+        re-agglomeration per component to rebuild it.
         """
         position = 0 if self._cursor is None else self._cursor.position
         return {
@@ -793,6 +727,12 @@ class ShardEngine:
         only *future* reorders can disturb the session.  Clusters are
         re-derived from the restored matrix on the next :meth:`update` —
         no consumed event is ever read again.
+
+        A snapshot that does not match the journal raises
+        :class:`~repro.exceptions.CheckpointError`; a malformed value
+        surfaces as the parse's own ``KeyError``/``TypeError``/
+        ``ValueError``, which :meth:`ShardedPipeline.from_state` reports
+        as :class:`~repro.exceptions.CorruptCheckpointError`.
         """
         cursor_state = state["cursor"]
         if cursor_state is None:
@@ -800,18 +740,16 @@ class ShardEngine:
             return
         cursor = JournalCursor.from_state(cursor_state)
         if cursor.position > len(self._journal):
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint cursor at {cursor.position} but the shard "
                 f"journal only holds {len(self._journal)} events; the "
                 "store does not match the checkpointed deployment"
             )
         if cursor.position:
             for label, index in (("head", 0), ("tail", cursor.position - 1)):
-                recorded = state.get(label)
-                if recorded is not None and (
-                    decode_event(recorded) != self._journal.event_at(index)
-                ):
-                    raise ValueError(
+                recorded = state[label]
+                if decode_event(recorded) != self._journal.event_at(index):
+                    raise CheckpointError(
                         f"checkpoint {label} event {recorded!r} does not "
                         "match the store's journal; the store holds a "
                         "different stream than the checkpointed deployment"
@@ -825,269 +763,31 @@ class ShardEngine:
         groups = [(int(index), members) for index, members in state["groups"]]
         for index, members in groups:
             if index > self._closed_count:
-                raise ValueError(
+                raise CheckpointError(
                     f"checkpoint group index {index} exceeds the closed "
                     f"count {self._closed_count}"
                 )
             if index == self._closed_count and frozenset(members) != self._pending_keys:
-                raise ValueError(
+                raise CheckpointError(
                     "checkpoint provisional group does not match its "
                     "pending events"
                 )
         if groups:
             self._matrix.update_groups(added=groups)
-        compacted = state.get("compacted")
+        compacted = state["compacted"]
         if compacted is not None:
-            # version-1 checkpoints carry no baseline: their full group
-            # history replays above and is compacted on the next update
             self._matrix.install_compacted(compacted)
         known = set(self._matrix.keys)
         for entry in state.get("dendrograms") or ():
             dendrogram = dendrogram_from_state(entry)
             if not dendrogram.items <= known:
-                raise ValueError(
+                raise CheckpointError(
                     "checkpoint dendrogram covers keys absent from the "
                     "checkpointed groups"
                 )
             if self._repair_mode == REPAIR_SPLICE:
                 self._dendro_cache[dendrogram.items] = dendrogram
         self._seen_structure = self._matrix.structure_version
-
-    # -- process-boundary execution ------------------------------------------
-
-    def export_task(self) -> dict:
-        """Self-contained work unit for an out-of-process worker.
-
-        The payload is the engine's :meth:`to_state` checkpoint plus the
-        journal slice the engine has not consumed yet — the same
-        serialization boundary a deployment restart crosses, so anything
-        that survives checkpoint/resume survives a process pool.  The
-        cursor is rebased to slice-local coordinates (the worker journal
-        holds only the unread suffix) and the consumed-prefix fingerprints
-        are dropped, since the prefix stays behind.
-
-        When the engine is fresh, or a reorder has reached into the
-        consumed prefix (``state is None``), the whole re-sorted stream is
-        shipped and the worker rebuilds from scratch — the slice protocol
-        cannot express the in-place rewind, so this path trades the
-        serial engine's O(buffer) absorb for a rebuild with identical
-        clusters (stats differ: the worker reports ``rebuilt``).
-        """
-        if self._cursor is not None and (
-            self._journal.reorder_depth(self._cursor) == 0
-        ):
-            state = self.to_state()
-            state["cursor"] = {"position": 0, "epoch": 0}
-            state["head"] = state["tail"] = None
-            base = self._cursor.position
-            components = self.components_snapshot() if self._ready else None
-        else:
-            state = None
-            components = None
-            base = 0
-        return {
-            "mode": "full",
-            "affinity": {"key": self._affinity_key, "epoch": self._state_epoch},
-            "journal_epoch": self._journal.epoch,
-            "state": state,
-            "components": components,
-            "events": encode_event_batch(self._journal.events_from(base)),
-            "result_position": len(self._journal),
-            "params": {
-                "window": self._window,
-                "correlation_threshold": self._correlation_threshold,
-                "linkage": self._linkage,
-                "grouping": self._grouping,
-                "repair_mode": self._repair_mode,
-                "kernel": self._kernel,
-                "journal_backend": journal_backend(self._journal),
-            },
-        }
-
-    def can_export_slice(self) -> bool:
-        """Whether the engine's state can be expressed as a journal slice.
-
-        True once the engine has clustered at least once and no reorder
-        has reached into its consumed prefix — the preconditions for
-        :meth:`export_slice_task`.
-        """
-        return (
-            self._ready
-            and self._cursor is not None
-            and self._journal.reorder_depth(self._cursor) == 0
-        )
-
-    def export_slice_task(self) -> dict:
-        """Slim work unit for a worker that already holds this engine.
-
-        The affinity fast path: no checkpoint, no component snapshot —
-        just the unread journal slice plus the ``(affinity key, state
-        epoch, cursor position)`` view the worker must hold for the slice
-        to apply.  A worker whose cached engine does not match reports a
-        miss and the executor falls back to :meth:`export_task`.  Requires
-        :meth:`can_export_slice`.
-        """
-        if not self.can_export_slice():
-            raise ValueError(
-                "engine state cannot be expressed as a journal slice; "
-                "export a full task instead"
-            )
-        base = self._cursor.position
-        return {
-            "mode": "slice",
-            "affinity": {"key": self._affinity_key, "epoch": self._state_epoch},
-            "journal_epoch": self._journal.epoch,
-            "base": base,
-            "events": encode_event_batch(self._journal.events_from(base)),
-            "result_position": len(self._journal),
-        }
-
-    def mirror_consume(self, position: int) -> bool:
-        """Advance the stream state to ``position`` without reclustering.
-
-        The parent half of a slice hand-off: the sticky worker does the
-        re-agglomeration on its cached engine, the parent replays only the
-        cheap stream bookkeeping — cursor, extractor, matrix counts,
-        compaction — so its own state stays checkpoint-complete.  Cluster
-        caches are not touched; the caller installs the worker's
-        components next.  Returns ``False`` when the stream cannot be
-        mirrored in order (fresh engine, a reorder into the consumed
-        prefix, or ``position`` out of range) — the caller must fall back
-        to a full local :meth:`update`.
-        """
-        if self._cursor is None or not self._ready:
-            return False
-        if self._journal.reorder_depth(self._cursor) > 0:
-            return False
-        start = self._cursor.position
-        if position < start or position > len(self._journal):
-            return False
-        events = self._journal.events_from(start)[: position - start]
-        self._cursor = JournalCursor(position, self._journal.epoch)
-        self._register_stream(events)
-        return True
-
-    def components_snapshot(self) -> list[tuple[list[str], list[list[str]]]]:
-        """The component cluster cache as sorted key lists (picklable)."""
-        return [
-            (sorted(component), sorted(sorted(c) for c in clusters))
-            for component, clusters in self._component_cache.items()
-        ]
-
-    def install_components(
-        self, components: list[tuple[list[str], list[list[str]]]]
-    ) -> None:
-        """Adopt a :meth:`components_snapshot` as the live cluster cache.
-
-        The snapshot must describe this engine's *current* matrix (the
-        caller either took it from an identical engine, or restored the
-        matching checkpoint first); subsequent updates then re-agglomerate
-        only dirty components instead of rebuilding the cache.
-        """
-        cache: dict[frozenset[str], list[frozenset[str]]] = {}
-        of_key: dict[str, frozenset[str]] = {}
-        for keys, clusters in components:
-            component = frozenset(keys)
-            cache[component] = [frozenset(cluster) for cluster in clusters]
-            for key in component:
-                of_key[key] = component
-        self._component_cache = cache
-        self._component_of_key = of_key
-        self._order = SortedKeySets(
-            key_set for clusters in cache.values() for key_set in clusters
-        )
-        self._ready = True
-        self._cluster_set = None
-        self._seen_structure = self._matrix.structure_version
-
-    def adopt_update(
-        self,
-        task: dict,
-        result: ShardUpdate,
-        state: dict,
-        components: list[tuple[list[str], list[list[str]]]],
-    ) -> ShardUpdate:
-        """Merge a worker's :func:`~repro.core.executors.run_shard_task`
-        outcome back into this engine.
-
-        The worker's post-update checkpoint is restored with its cursor
-        rebased onto this engine's real journal (``task`` is the
-        :meth:`export_task` payload the worker ran), and the worker's
-        component clusters are installed so the expensive re-agglomeration
-        is not repeated in the parent.  Returns ``result`` with the
-        ``changed`` flag recomputed against the parent's previous clusters
-        (the worker cannot see them after a rebuild hand-off).
-
-        If an out-of-order append landed inside the worker's consumed
-        range while the task was in flight, the worker's clusters describe
-        a stream this journal no longer holds — the stale result is
-        discarded and the engine recomputes locally instead of silently
-        installing it.
-        """
-        started = time.perf_counter()
-        if (
-            self._journal.reorder_depth(
-                JournalCursor(task["result_position"], task["journal_epoch"])
-            )
-            > 0
-        ):
-            return self.update()
-        merged = dict(state)
-        merged["cursor"] = {"position": task["result_position"], "epoch": 0}
-        merged["head"] = merged["tail"] = None
-        previous = self._order.as_key_sets() if self._ready else []
-        self.restore(merged)
-        self.install_components(components)
-        # the engine now holds exactly the state the worker cached under
-        # the task's affinity tag, so future slice hand-offs can hit
-        self._state_epoch = task["affinity"]["epoch"]
-        removed, added = diff_sorted(previous, self._order.as_key_sets())
-        self._last_removed = removed
-        self._last_added = added
-        return replace(
-            result,
-            changed=bool(removed or added),
-            handoff_seconds=result.handoff_seconds
-            + (time.perf_counter() - started),
-        )
-
-    def adopt_slice(
-        self,
-        task: dict,
-        result: ShardUpdate,
-        components: list[tuple[list[str], list[list[str]]]],
-    ) -> ShardUpdate:
-        """Merge a sticky worker's slice-task outcome back into this engine.
-
-        The cheap counterpart of :meth:`adopt_update` for the affinity
-        fast path (``task`` is the :meth:`export_slice_task` payload): the
-        parent mirrors the stream bookkeeping locally
-        (:meth:`mirror_consume`) and installs the worker's component
-        clusters — no checkpoint crosses the boundary.  The parent's
-        dendrogram caches are dropped: a slice adopt advances the matrix
-        without repairing them, and a later serial update must not splice
-        merges that are several updates stale (the sticky worker keeps its
-        own, live cache).  Falls back to a full local :meth:`update` when
-        the journal reordered while the task was in flight.
-        """
-        started = time.perf_counter()
-        if self._journal.epoch != task["journal_epoch"] or (
-            not self.mirror_consume(task["result_position"])
-        ):
-            return self.update()
-        previous = self._order.as_key_sets()
-        self.install_components(components)
-        self._dendro_cache.clear()
-        self._seed_cache.clear()
-        removed, added = diff_sorted(previous, self._order.as_key_sets())
-        self._last_removed = removed
-        self._last_added = added
-        return replace(
-            result,
-            changed=bool(removed or added),
-            handoff_seconds=result.handoff_seconds
-            + (time.perf_counter() - started),
-        )
 
 
 class ShardedPipeline:
@@ -1110,16 +810,6 @@ class ShardedPipeline:
     ``shard_prefixes`` and ``catch_all`` may all be reassigned between
     updates — the change is detected and the session restarts over the
     full stream.
-
-    ``executor`` selects the shard execution strategy (see
-    :mod:`repro.core.executors`): ``None`` walks the shards serially in
-    the calling thread; a :class:`~repro.core.executors.ThreadShardExecutor`
-    or :class:`~repro.core.executors.ProcessShardExecutor` runs them
-    concurrently — engines share no state, so any interleaving is safe as
-    long as the store is not appended to mid-``update()``.  The executor
-    is not part of the session state: it may be swapped between updates
-    without restarting the session, and it is caller-owned (closing the
-    pipeline does not close the executor).
 
     ``repair_mode`` selects how dirty components are re-clustered:
     ``"splice"`` (default) repairs each one's cached dendrogram below the
@@ -1147,7 +837,6 @@ class ShardedPipeline:
         key_filter: str | None = None,
         grouping: str = GROUPING_SLIDING,
         catch_all: bool = True,
-        executor: "ShardExecutor | None" = None,
         repair_mode: str = REPAIR_SPLICE,
         kernel: str = KERNEL_AUTO,
         journal_backend: str = BACKEND_AUTO,
@@ -1160,7 +849,6 @@ class ShardedPipeline:
         self.linkage = linkage
         self.key_filter = key_filter
         self.grouping = grouping
-        self.executor = executor
         self.repair_mode = repair_mode
         self.kernel = kernel
         self.journal_backend = journal_backend
@@ -1308,9 +996,8 @@ class ShardedPipeline:
 
         Shards whose journals did not advance are skipped entirely — their
         engines are not even asked to read.  The shards that did advance
-        run through the configured executor (serially in this thread when
-        ``executor`` is ``None``); per-shard wall times land in
-        ``last_stats.shard_timings``.  Retuning any constructor parameter
+        are updated in order in the calling thread; per-shard wall times
+        land in ``last_stats.shard_timings``.  Retuning any constructor parameter
         between calls restarts the session over the full stream, exactly
         like the unsharded pipeline.
         """
@@ -1333,19 +1020,10 @@ class ShardedPipeline:
                 reused += count
             else:
                 pending.append((shard_id, engine))
-        wall_started = time.perf_counter()
-        if self.executor is None:
-            results = [engine.update() for _, engine in pending]
-        else:
-            results = self.executor.map_shards(
-                [engine for _, engine in pending]
-            )
-        wall_seconds = time.perf_counter() - wall_started
+        results = [engine.update() for _, engine in pending]
         shard_timings: dict[str, float] = {}
-        handoff_seconds = 0.0
         for (shard_id, engine), result in zip(pending, results):
             shard_timings[shard_id] = result.seconds
-            handoff_seconds += result.handoff_seconds
             events += result.stats.events_consumed
             groups += result.stats.groups_closed
             dirty += result.stats.dirty_keys
@@ -1363,7 +1041,6 @@ class ShardedPipeline:
                 self._order.remove(key_set)
             for key_set in added:
                 self._order.add(key_set)
-        busy_seconds = sum(shard_timings.values())
         if changed or self._cluster_set is None:
             # the merged order is maintained incrementally from the
             # engines' deltas — no cross-shard re-sort per update
@@ -1389,12 +1066,6 @@ class ShardedPipeline:
                 if shard_timings
                 else None
             ),
-            parallel_speedup=(
-                busy_seconds / wall_seconds
-                if wall_seconds > 0 and busy_seconds > 0
-                else 1.0
-            ),
-            handoff_seconds=handoff_seconds,
             merges_reused=merges_reused,
             merges_recomputed=merges_recomputed,
             kernel_used=kernel_components > 0,
@@ -1438,7 +1109,6 @@ class ShardedPipeline:
         store: TTKV,
         state: dict,
         *,
-        executor: "ShardExecutor | None" = None,
         repair_mode: str | None = None,
         kernel: str | None = None,
         journal_backend: str | None = None,
@@ -1449,14 +1119,14 @@ class ShardedPipeline:
         session had consumed — a deployment re-opening its persisted TTKV
         satisfies this.  Always returns a :class:`ShardedPipeline`, with
         the checkpoint's parameters (not the defaults of ``cls``).
-        ``executor`` is runtime configuration, not session state, so the
-        resumed session takes whatever the caller passes (default:
-        serial).  ``repair_mode`` and ``kernel`` likewise affect only how
-        much work updates do, never their output: ``None`` (default)
-        keeps the checkpoint's value, an explicit value overrides it
-        (pre-kernel checkpoints default to ``"auto"``).
-        ``journal_backend`` follows the same rule — version-2 and older
-        checkpoints carry no backend and default to ``"auto"``.
+        ``repair_mode``, ``kernel`` and ``journal_backend`` affect only
+        how much work updates do, never their output: ``None`` (default)
+        keeps the checkpoint's value, an explicit value overrides it.
+
+        Every failure is a :class:`~repro.exceptions.CheckpointError`: an
+        unsupported version or a checkpoint that does not match ``store``
+        raises it directly, a truncated or malformed one raises its
+        :class:`~repro.exceptions.CorruptCheckpointError` subclass.
         """
         version = state.get("version")
         if version not in SUPPORTED_STATE_VERSIONS:
@@ -1475,25 +1145,18 @@ class ShardedPipeline:
                 key_filter=params["key_filter"],
                 grouping=params["grouping"],
                 catch_all=params["catch_all"],
-                executor=executor,
                 repair_mode=(
-                    repair_mode
-                    if repair_mode is not None
-                    else params.get("repair_mode", REPAIR_SPLICE)
+                    repair_mode if repair_mode is not None else params["repair_mode"]
                 ),
-                kernel=(
-                    kernel
-                    if kernel is not None
-                    else params.get("kernel", KERNEL_AUTO)
-                ),
+                kernel=kernel if kernel is not None else params["kernel"],
                 journal_backend=(
                     journal_backend
                     if journal_backend is not None
-                    else params.get("journal_backend", BACKEND_AUTO)
+                    else params["journal_backend"]
                 ),
             )
             shards = state["shards"]
-        except (KeyError, TypeError, AttributeError) as error:
+        except (KeyError, TypeError, AttributeError, ValueError) as error:
             # a truncated/hand-damaged checkpoint loses fields: surface
             # one typed error instead of the parse's bare KeyError
             raise CorruptCheckpointError(
@@ -1510,7 +1173,7 @@ class ShardedPipeline:
                 pipeline._engines[shard_id].restore(shard_state)
             except CheckpointError:
                 raise
-            except (KeyError, TypeError, AttributeError) as error:
+            except (KeyError, TypeError, AttributeError, ValueError) as error:
                 raise CorruptCheckpointError(
                     f"shard {shard_id!r} checkpoint (version {version}) is "
                     f"truncated or corrupt: missing/invalid field {error!r}"

@@ -45,14 +45,8 @@ def evaluate_app(
     correlation_threshold: float = 2.0,
     days: int = 45,
     seed: int = 7,
-    executor=None,
 ) -> ClusteringReport:
-    """Cluster one application's trace and score it (one Table II row).
-
-    ``executor`` optionally drives the shard update through a
-    :class:`~repro.core.executors.ShardExecutor` (caller-owned) — one
-    pool can then serve all eleven rows.
-    """
+    """Cluster one application's trace and score it (one Table II row)."""
     if trace is None:
         trace = generate_trace(lab_profile(app_name, days=days, seed=seed))
     app = trace.apps[app_name]
@@ -66,7 +60,6 @@ def evaluate_app(
         window=window,
         correlation_threshold=correlation_threshold,
         catch_all=False,
-        executor=executor,
     )
     try:
         cluster_set = pipeline.update()
@@ -87,9 +80,8 @@ def run_table2(
     correlation_threshold: float = 2.0,
     days: int = 45,
     seed: int = 7,
-    executor=None,
 ) -> list[ClusteringReport]:
-    """All eleven Table II rows (one shared ``executor``, if given)."""
+    """All eleven Table II rows."""
     return [
         evaluate_app(
             name,
@@ -97,7 +89,6 @@ def run_table2(
             correlation_threshold=correlation_threshold,
             days=days,
             seed=seed,
-            executor=executor,
         )
         for name in app_names()
     ]

@@ -9,14 +9,14 @@ continues:
 - :class:`FleetCorrelationMerge` (:mod:`repro.fleet.merge`) sums
   per-machine pairwise evidence keyed by canonical app/key identity and
   re-agglomerates only the fleet components whose evidence changed — the
-  cross-machine analog of the engines' ``install_components``.  It is
+  cross-machine analog of the engines' dirty-region recluster.  It is
   property-tested equal to concatenating all machines' write groups into
   one batch matrix (:func:`repro.fleet.merge.concatenated_batch_clusters`).
 - :class:`FleetPipeline` (:mod:`repro.fleet.pipeline`) owns one
   :class:`~repro.core.sharded.ShardedPipeline` per machine behind an
-  asyncio driver: poll ``needs_update()``, interleave shard updates
-  (on the existing executor layer via ``run_in_executor``) with logging
-  I/O, apply per-machine backpressure, checkpoint per machine.
+  asyncio driver: poll ``needs_update()``, interleave machine updates
+  (on the event loop's default thread pool via ``run_in_executor``) with
+  logging I/O, apply per-machine backpressure, checkpoint per machine.
 - :class:`FleetQueryServer` (:mod:`repro.fleet.api`) serves
   ``GET /clusters``, ``GET /machines``, ``GET /machines/<id>/status``
   and ``GET /health`` from asyncio streams while the driver keeps

@@ -28,10 +28,6 @@ Three properties make resume survive a crash at any instant:
    the next-newest is tried; only when every generation is damaged does
    :meth:`~FleetCheckpointStore.load` raise
    :class:`~repro.exceptions.CorruptCheckpointError`.
-
-The pre-generation flat layout (``machine-<id>.json`` beside a
-version-1 ``fleet.json``) still loads via
-:meth:`~repro.fleet.pipeline.FleetPipeline.from_state_dir`.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ machines writing ``mail/zoom`` contribute to the same fleet key).  When a
 machine reports again, only the *diff* against its previous snapshot is
 applied (:meth:`~repro.core.correlation.CorrelationMatrix.apply_count_deltas`),
 and only fleet components touched by the diff are re-agglomerated — the
-cross-machine analog of the engines' ``install_components``.
+cross-machine analog of the engines' dirty-region recluster.
 
 The independent reference is :func:`concatenated_batch_clusters`: extract
 every machine's write groups with the batch extractor (respecting the

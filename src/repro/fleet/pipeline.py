@@ -6,16 +6,15 @@ The synchronous :meth:`FleetPipeline.update` sweeps the fleet once in the
 calling thread; the asyncio :meth:`FleetPipeline.drive` runs the full
 ingest loop — feed each machine's next slice of events (the logging I/O),
 update every machine whose journal advanced (CPU work, pushed onto the
-event loop's default executor so queries stay responsive; the machines'
-own shard updates still go through whatever
-:class:`~repro.core.executors.ShardExecutor` the fleet was built with),
-merge the changed machines' evidence, and repeat.
+event loop's default thread pool so queries stay responsive; each
+machine walks its own shards serially), merge the changed machines'
+evidence, and repeat.
 
 Determinism: rounds are barriers.  Every machine's feed for a round is
 appended before any update starts, all updates finish before the merge,
 and the merge runs on the event-loop thread — so the per-round event
-counts, cluster models and progress lines are byte-identical whatever
-the executor strategy (the CLI smoke test asserts exactly this).
+counts, cluster models and progress lines are byte-identical however
+the machine updates interleave on the pool.
 
 Backpressure: ``max_lag`` bounds how many journaled-but-unconsumed
 events a machine may accumulate.  The feed stage stops pulling from a
@@ -30,8 +29,7 @@ full :meth:`~repro.core.sharded.ShardedPipeline.to_state`) into a new
 ``gen-<n>/`` directory — every file atomic (tmp+fsync+rename), SHA-256
 checksums in the manifest, the root ``fleet.json`` committed last —
 and :meth:`from_state_dir` restores from the newest verifiable
-generation, quarantining damaged ones.  The pre-generation flat layout
-(version 1) still loads.
+generation, quarantining damaged ones.
 
 Resilience: :meth:`drive` optionally takes a
 :class:`~repro.fleet.resilience.FleetResilience` bundle — a seeded
@@ -78,7 +76,7 @@ from repro.ttkv.columnar import BACKEND_AUTO
 from repro.ttkv.store import TTKV
 
 STATE_VERSION = 2
-SUPPORTED_STATE_VERSIONS = (1, 2)
+SUPPORTED_STATE_VERSIONS = (2,)
 
 #: Machine ids become checkpoint file names, so keep them path-safe.
 _MACHINE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -116,14 +114,9 @@ class FleetPipeline:
 
     Parameters mirror the per-machine pipelines (``window``,
     ``correlation_threshold``, ``linkage``, ``kernel``,
-    ``journal_backend``) and apply to every machine.  ``executor`` is the
-    shard execution strategy shared by all machines — caller-owned, like
-    the sharded pipeline's; only strategies safe for concurrent
-    ``map_shards`` calls belong here (serial constructs per-call state,
-    the thread pool is locked; the process executor's worker-affinity
-    cache is per-session state and must not be shared across machines
-    updating concurrently).  ``max_lag`` is the per-machine backpressure
-    bound used by :meth:`drive` (``None``: unbounded).
+    ``journal_backend``) and apply to every machine.  ``max_lag`` is the
+    per-machine backpressure bound used by :meth:`drive` (``None``:
+    unbounded).
     """
 
     def __init__(
@@ -134,7 +127,6 @@ class FleetPipeline:
         linkage: str = LINKAGE_COMPLETE,
         kernel: str = KERNEL_AUTO,
         journal_backend: str = BACKEND_AUTO,
-        executor=None,
         max_lag: int | None = None,
     ) -> None:
         if max_lag is not None and max_lag < 1:
@@ -144,7 +136,6 @@ class FleetPipeline:
         self.linkage = linkage
         self.kernel = kernel
         self.journal_backend = journal_backend
-        self.executor = executor
         self.max_lag = max_lag
         self._machines: dict[str, ShardedPipeline] = {}
         self._merge = FleetCorrelationMerge(
@@ -204,7 +195,6 @@ class FleetPipeline:
             linkage=self.linkage,
             kernel=self.kernel,
             journal_backend=self.journal_backend,
-            executor=self.executor,
         )
         self._machines[machine_id] = pipeline
         self._refresh_status(machine_id)
@@ -223,7 +213,7 @@ class FleetPipeline:
             self._merge.retire(machine_id)
 
     def close(self) -> None:
-        """Detach every machine (the caller owns the executor)."""
+        """Detach every machine."""
         for pipeline in self._machines.values():
             pipeline.close()
 
@@ -357,7 +347,7 @@ class FleetPipeline:
 
     @staticmethod
     def _planned_update(pipeline: ShardedPipeline, plan: UpdatePlan | None):
-        """The callable one update attempt runs on the executor thread."""
+        """The callable one update attempt runs on the pool thread."""
         if plan is None or (
             plan.slow_seconds == 0.0
             and plan.hang_seconds == 0.0
@@ -404,10 +394,8 @@ class FleetPipeline:
         state = resilience.load_machine_state(machine_id)
         if state is not None:
             try:
-                fresh = ShardedPipeline.from_state(
-                    old.store, state, executor=self.executor
-                )
-            except ValueError:
+                fresh = ShardedPipeline.from_state(old.store, state)
+            except CheckpointError:
                 fresh = None  # damaged/incompatible: rebuild from scratch
         if fresh is None:
             fresh = ShardedPipeline(
@@ -419,7 +407,6 @@ class FleetPipeline:
                 key_filter=old.key_filter,
                 grouping=old.grouping,
                 catch_all=old.catch_all,
-                executor=self.executor,
                 repair_mode=old.repair_mode,
                 kernel=old.kernel,
                 journal_backend=old.journal_backend,
@@ -630,10 +617,10 @@ class FleetPipeline:
                 or machine_id in self._forced_sweeps
             ]
             # CPU stage: machine updates run concurrently on the loop's
-            # executor (their shard updates go through self.executor);
-            # the barrier before the merge keeps rounds deterministic.
-            # Restarts may swap a machine's pipeline object mid-round, so
-            # everything downstream re-reads self._machines by id.
+            # default thread pool; the barrier before the merge keeps
+            # rounds deterministic.  Restarts may swap a machine's
+            # pipeline object mid-round, so everything downstream
+            # re-reads self._machines by id.
             if resilience is None:
                 await asyncio.gather(
                     *(
@@ -759,7 +746,6 @@ class FleetPipeline:
         path: str | Path,
         stores: Mapping[str, TTKV],
         *,
-        executor=None,
         kernel: str | None = None,
         journal_backend: str | None = None,
         max_lag: int | None = None,
@@ -768,16 +754,13 @@ class FleetPipeline:
 
         ``stores`` must provide a store for every machine named in the
         manifest, each holding (at least) the journal that machine's
-        checkpoint had consumed.  ``executor`` is runtime configuration,
-        like the sharded pipeline's; ``kernel``/``journal_backend``
-        override the checkpointed values when given; ``max_lag``
+        checkpoint had consumed.  ``kernel``/``journal_backend`` override the checkpointed values when given; ``max_lag``
         overrides the checkpointed backpressure bound.
 
         Restores from the newest checkpoint generation that verifies
         (checksums + parse); damaged generations are quarantined and
         older ones tried, and only when none survives does this raise
-        :class:`~repro.exceptions.CorruptCheckpointError`.  Version-1
-        (pre-generation, flat-layout) checkpoints still load.
+        :class:`~repro.exceptions.CorruptCheckpointError`.
         """
         directory = Path(path)
         try:
@@ -794,18 +777,7 @@ class FleetPipeline:
                 f"unsupported fleet state version {version!r} "
                 f"(expected one of {SUPPORTED_STATE_VERSIONS})"
             )
-        if root is not None and version == 1:
-            # legacy flat layout: machine files beside the manifest
-            manifest = root
-            machine_states = {
-                machine_id: load_json_checkpoint(
-                    directory / f"machine-{machine_id}.json",
-                    kind="machine checkpoint",
-                )
-                for machine_id in manifest.get("machines", [])
-            }
-        else:
-            manifest, machine_states = FleetCheckpointStore(directory).load()
+        manifest, machine_states = FleetCheckpointStore(directory).load()
         try:
             params = manifest["params"]
             machine_ids = manifest["machines"]
@@ -834,14 +806,12 @@ class FleetPipeline:
             journal_backend=(
                 journal_backend if journal_backend is not None else state_backend
             ),
-            executor=executor,
             max_lag=max_lag if max_lag is not None else state_max_lag,
         )
         for machine_id in machine_ids:
             fleet._machines[machine_id] = ShardedPipeline.from_state(
                 stores[machine_id],
                 machine_states[machine_id],
-                executor=executor,
                 kernel=kernel,
                 journal_backend=journal_backend,
             )

@@ -75,11 +75,6 @@ class OcastaRepairTool:
         configuration settings that cause the configuration problem."
     use_clustering:
         ``False`` gives the Ocasta-NoClust baseline of Table IV.
-    executor:
-        Optional :class:`~repro.core.executors.ShardExecutor` driving the
-        clustering session's shard updates (the tool has one shard, so
-        this mainly matters when many tools share one pool).  Caller
-        owned; the tool never closes it.
     repair_mode:
         Dirty-component repair strategy for the clustering session —
         ``"splice"`` (default) keeps cached dendrogram merges below the
@@ -105,7 +100,6 @@ class OcastaRepairTool:
         sort_policy: str = SORT_MODCOUNT,
         use_clustering: bool = True,
         clock: SimClock | None = None,
-        executor=None,
         repair_mode: str = REPAIR_SPLICE,
         kernel: str = KERNEL_AUTO,
     ) -> None:
@@ -116,7 +110,6 @@ class OcastaRepairTool:
         self.sort_policy = sort_policy
         self.use_clustering = use_clustering
         self.clock = clock if clock is not None else SimClock()
-        self.executor = executor
         self.repair_mode = repair_mode
         self.kernel = kernel
         self._pipeline: ShardedPipeline | None = None
@@ -149,7 +142,6 @@ class OcastaRepairTool:
                 window=self.window,
                 correlation_threshold=self.correlation_threshold,
                 catch_all=False,
-                executor=self.executor,
                 repair_mode=self.repair_mode,
                 kernel=self.kernel,
             )
@@ -157,7 +149,6 @@ class OcastaRepairTool:
             # the pipeline detects retuned parameters and restarts itself
             self._pipeline.window = self.window
             self._pipeline.correlation_threshold = self.correlation_threshold
-            self._pipeline.executor = self.executor
             self._pipeline.repair_mode = self.repair_mode
             self._pipeline.kernel = self.kernel
         return self._pipeline.update()

@@ -137,7 +137,6 @@ def scenario_resilience(built: BuiltScenario) -> FleetResilience | None:
 def run_fleet_scenario(
     built: BuiltScenario,
     *,
-    executor=None,
     on_round: Callable[[FleetRound], None] | None = None,
     check_equality: bool = True,
     resilience: FleetResilience | None = None,
@@ -180,7 +179,6 @@ def run_fleet_scenario(
         linkage=config.pipeline.linkage,
         kernel=config.pipeline.kernel,
         journal_backend=config.pipeline.journal_backend,
-        executor=executor,
         max_lag=config.fleet.max_lag,
     )
 
@@ -287,7 +285,6 @@ def run_stream_scenario(
     machine_id: str | None = None,
     *,
     chunk_events: int = 500,
-    executor=None,
     check_equality: bool = True,
     on_update: Callable[[int, int], None] | None = None,
 ) -> StreamScenarioResult:
@@ -313,7 +310,6 @@ def run_stream_scenario(
         linkage=config.pipeline.linkage,
         kernel=config.pipeline.kernel,
         journal_backend=config.pipeline.journal_backend,
-        executor=executor,
     )
     updates = reorders = rebuilds = fed = 0
     try:

@@ -12,9 +12,7 @@ from repro.ttkv.journal import (
     EventSliceView,
     JournalCursor,
     decode_event,
-    decode_event_batch,
     encode_event,
-    encode_event_batch,
 )
 from repro.ttkv.columnar import (
     BACKEND_AUTO,
@@ -44,9 +42,7 @@ __all__ = [
     "EventSliceView",
     "JournalCursor",
     "decode_event",
-    "decode_event_batch",
     "encode_event",
-    "encode_event_batch",
     "BACKEND_AUTO",
     "BACKEND_COLUMNAR",
     "BACKEND_LIST",

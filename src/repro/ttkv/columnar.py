@@ -4,8 +4,8 @@ The list-backed :class:`~repro.ttkv.journal.EventJournal` holds one Python
 tuple (plus a key string and a value object) per modification.  At fleet
 scale — months of events for thousands of machines — that representation
 is the memory and (de)serialization wall ROADMAP.md names: every resume
-re-decodes the whole history through JSON, every shard slice copies a list
-of tuples, and every hand-off pickles the tuples one by one.
+re-decodes the whole history through JSON and every shard slice copies a
+list of tuples.
 
 :class:`ColumnarJournal` is the array-backed replacement.  Same API, same
 observable event stream, different storage:
@@ -23,7 +23,7 @@ observable event stream, different storage:
   :meth:`read`/:meth:`read_flexible`) return a :class:`ColumnarView` —
   numpy slice views over the sealed segments plus a snapshot of the
   buffer tail.  Nothing is decoded until a consumer actually touches an
-  event, and bulk consumers (windowing, export payloads) use the column
+  event, and bulk consumers (the windowing extractor) use the column
   arrays directly.
 - **Memory-mapped persistence.**  :func:`save_columnar` writes the sealed
   columns as one ``.npy`` array plus a JSON side-car for the string
@@ -363,46 +363,6 @@ class ColumnarView(Sequence):
             _np.concatenate(kids),
             self._journal._keys,
         )
-
-    def batch_payload(self) -> dict:
-        """Columnar hand-off payload (see :func:`repro.ttkv.journal.encode_event_batch`).
-
-        Local intern tables are rebuilt over just the slice, so the payload
-        ships each distinct key/value once regardless of journal size.
-        """
-        from repro.ttkv.store import DELETED  # local to avoid import cycle
-
-        times: list[float] = []
-        kid_parts = []
-        vid_parts = []
-        for chunk in self._chunks:
-            if isinstance(chunk, tuple):
-                times.extend(chunk[0])
-                kid_parts.append(_np.asarray(chunk[1], dtype=_np.int64))
-                vid_parts.append(_np.asarray(chunk[2], dtype=_np.int64))
-            else:
-                times.extend(chunk["t"].tolist())
-                kid_parts.append(chunk["k"].astype(_np.int64, copy=False))
-                vid_parts.append(chunk["v"].astype(_np.int64, copy=False))
-        if not kid_parts:
-            return {"t": [], "k": [], "keys": [], "v": [], "vals": []}
-        kids = kid_parts[0] if len(kid_parts) == 1 else _np.concatenate(kid_parts)
-        vids = vid_parts[0] if len(vid_parts) == 1 else _np.concatenate(vid_parts)
-        uniq_k, local_k = _np.unique(kids, return_inverse=True)
-        uniq_v, local_v = _np.unique(vids, return_inverse=True)
-        key_of = self._journal._keys.value
-        val_of = self._journal._values.value
-        vals: list[list] = []
-        for ident in uniq_v.tolist():
-            value = val_of(ident)
-            vals.append(["d"] if value is DELETED else ["w", value])
-        return {
-            "t": times,
-            "k": local_k.tolist(),
-            "keys": [key_of(ident) for ident in uniq_k.tolist()],
-            "v": local_v.tolist(),
-            "vals": vals,
-        }
 
 
 def _chunk_len(chunk) -> int:

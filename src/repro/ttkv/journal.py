@@ -102,82 +102,6 @@ def decode_event(state: dict) -> Event:
     raise ValueError(f"unknown event op {op!r}")
 
 
-def encode_event_batch(events: Sequence[Event]) -> dict:
-    """A whole event slice as one columnar, interned hand-off payload.
-
-    The per-event :func:`encode_event` dicts repeat every key string and
-    every common value once *per event*; at hand-off volume (a shard slice
-    shipped to a worker process each update) that dominates the payload.
-    This codec ships each distinct key and value once and refers to them
-    by index::
-
-        {"t": [times...], "k": [key idx...], "keys": [distinct keys...],
-         "v": [value idx...], "vals": [["d"] | ["w", value], ...]}
-
-    Deletions are carried as ``["d"]`` entries so the DELETED sentinel
-    survives the boundary by role, not identity.  Columnar views supply
-    the payload straight from their column arrays
-    (:meth:`~repro.ttkv.columnar.ColumnarView.batch_payload`); any other
-    sequence of events takes the generic interning loop below.
-    """
-    fast = getattr(events, "batch_payload", None)
-    if fast is not None:
-        return fast()
-    from repro.ttkv.store import DELETED  # local to avoid import cycle
-
-    times: list[float] = []
-    key_index: list[int] = []
-    val_index: list[int] = []
-    keys: list[str] = []
-    vals: list[list] = []
-    key_ids: dict[str, int] = {}
-    val_ids: dict[tuple, int] = {}
-    for timestamp, key, value in events:
-        kid = key_ids.get(key)
-        if kid is None:
-            kid = key_ids[key] = len(keys)
-            keys.append(key)
-        if value is DELETED:
-            token: tuple | None = ("d",)
-        else:
-            # type name disambiguates e.g. True from 1 under dict hashing
-            token = ("w", type(value).__name__, value)
-        vid = None
-        if token is not None:
-            try:
-                vid = val_ids.get(token)
-            except TypeError:  # unhashable value: store uninterned
-                token = None
-        if vid is None:
-            vid = len(vals)
-            vals.append(["d"] if value is DELETED else ["w", value])
-            if token is not None:
-                val_ids[token] = vid
-        times.append(timestamp)
-        key_index.append(kid)
-        val_index.append(vid)
-    return {"t": times, "k": key_index, "keys": keys, "v": val_index, "vals": vals}
-
-
-def decode_event_batch(payload: dict) -> list[Event]:
-    """Inverse of :func:`encode_event_batch`."""
-    from repro.ttkv.store import DELETED  # local to avoid import cycle
-
-    keys = payload["keys"]
-    values = []
-    for entry in payload["vals"]:
-        if entry[0] == "d":
-            values.append(DELETED)
-        elif entry[0] == "w":
-            values.append(entry[1])
-        else:
-            raise ValueError(f"unknown event op {entry[0]!r}")
-    return [
-        (float(timestamp), keys[kid], values[vid])
-        for timestamp, kid, vid in zip(payload["t"], payload["k"], payload["v"])
-    ]
-
-
 class EventSliceView(Sequence):
     """Lazy window over a journal's event list — no tail copy.
 
@@ -314,11 +238,8 @@ class EventJournal:
     def events_from(self, position: int) -> EventSliceView:
         """The sorted suffix starting at ``position`` (a zero-copy view).
 
-        This is the "journal slice" a parallel execution layer ships to a
-        worker process together with an engine checkpoint: the consumed
-        prefix stays behind, only the unread suffix crosses the process
-        boundary.  The view is lazy — it is called once per shard per
-        update, and copying the tail made every no-op update O(journal).
+        The view is lazy — it is called once per shard per update, and
+        copying the tail made every no-op update O(journal).
         """
         if position < 0:
             raise ValueError(f"journal position must be >= 0, got {position}")
@@ -330,8 +251,7 @@ class EventJournal:
         0 means the consumed prefix is untouched and ``events_from(
         cursor.position)`` is exactly the unread suffix; a positive value
         is the number of consumed events :meth:`read_flexible` would
-        re-deliver.  Checkpoint-and-slice protocols use this to detect
-        when a plain suffix hand-off is unsound.
+        re-deliver.
         """
         start = cursor.position
         for index in self._insertions[cursor.epoch:]:

@@ -5,8 +5,8 @@ any prefix of any modification stream — including out-of-order arrivals
 that force reorder absorption or rebuilds — a pipeline running on columnar
 journal segments produces exactly the clusters of the list-journal pipeline
 and of the batch :func:`~repro.core.pipeline.cluster_settings`.  Checkpoints
-migrate forward (v2 states carry no backend and resume under ``auto``), and
-the interned batch payloads survive the process-executor hand-off.
+record their backend and may resume under the other one; version-2 states,
+which carry no backend, are refused.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.executors import make_executor
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import STATE_VERSION, ShardedPipeline
+from repro.exceptions import CheckpointError
 from repro.core.windowing import (
     FEED_VECTOR_MIN,
     GROUPING_BUCKETS,
@@ -204,17 +204,12 @@ class TestCheckpointMigration:
         assert _key_sets(resumed.update()) == clusters
         resumed.close()
 
-    def test_v2_checkpoint_resumes_under_auto(self):
-        store, clusters, state = _session_state("list", _EVENTS)
+    def test_v2_checkpoint_rejected(self):
+        store, _, state = _session_state("list", _EVENTS)
         del state["params"]["journal_backend"]
         state["version"] = 2
-        resumed = ShardedPipeline.from_state(store, state)
-        assert resumed.journal_backend == "auto"
-        assert resumed.to_state()["version"] == 3
-        assert _key_sets(resumed.update()) == clusters
-        store.record_events([(1200.0, "a/x", 3), (1200.4, "a/y", 3)])
-        assert _key_sets(resumed.update()) == _key_sets(cluster_settings(store))
-        resumed.close()
+        with pytest.raises(CheckpointError, match="unsupported .* version 2"):
+            ShardedPipeline.from_state(store, state)
 
     @needs_numpy
     def test_backend_override_on_resume(self):
@@ -242,38 +237,6 @@ class TestCheckpointMigration:
             )
             assert _key_sets(resumed.update()) == clusters
             resumed.close()
-
-
-# -- process-executor hand-off ------------------------------------------------
-
-@needs_numpy
-def test_columnar_slices_survive_process_handoff():
-    """Interned batch payloads cross the process boundary intact."""
-    rng = random.Random(11)
-    events = sorted(
-        (
-            (float(rng.randrange(0, 3000)), f"app_{rng.randrange(2)}/k{rng.randrange(5)}",
-             rng.choice([0, 1, "on", DELETED]))
-            for _ in range(160)
-        ),
-        key=lambda e: e[0],
-    )
-    executor = make_executor("process", 2)
-    store = TTKV(journal_backend="columnar")
-    pipeline = ShardedPipeline(
-        store,
-        shard_prefixes=("app_0/", "app_1/"),
-        executor=executor,
-        journal_backend="columnar",
-    )
-    try:
-        for start in range(0, len(events), 40):
-            store.record_events(events[start:start + 40])
-            result = _key_sets(pipeline.update())
-            assert result == _key_sets(cluster_settings(store))
-    finally:
-        pipeline.close()
-        executor.close()
 
 
 # -- windowing fast path ------------------------------------------------------

@@ -12,9 +12,8 @@ The contracts under test:
 - unusable caches (components that shrank after a retraction, average
   linkage, malformed inputs) fall back to the wholesale rebuild rather
   than guessing;
-- the per-component dendrogram cache survives JSON checkpoints and the
-  process-executor hand-off, so resumed sessions and pool workers keep
-  splicing.
+- the per-component dendrogram cache survives JSON checkpoints, so
+  resumed sessions keep splicing.
 """
 
 from __future__ import annotations
@@ -565,8 +564,8 @@ class TestEngineRepair:
         assert resumed.repair_mode == REPAIR_REBUILD
 
     def test_from_state_repair_mode_override(self):
-        # repair_mode is runtime configuration like executor: a resume
-        # may override the checkpointed mode without changing results
+        # repair_mode is runtime configuration: a resume may override
+        # the checkpointed mode without changing results
         store = _hot_component_store()
         pipeline = IncrementalPipeline(store)  # splice-mode checkpoint
         pipeline.update()

@@ -59,6 +59,7 @@ from repro.core.hac_kernel import (
 )
 from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
+from repro.exceptions import CorruptCheckpointError
 from repro.ttkv.store import DELETED, TTKV
 from repro.workload.machines import PROFILES
 from repro.workload.tracegen import generate_trace
@@ -563,10 +564,10 @@ class TestEngineKernelDispatch:
         assert resumed.kernel == KERNEL_NUMPY
         overridden = ShardedPipeline.from_state(store, state, kernel=KERNEL_PYTHON)
         assert overridden.kernel == KERNEL_PYTHON
-        # pre-kernel checkpoints default to auto
+        # every current checkpoint records its kernel: one without is damaged
         del state["params"]["kernel"]
-        legacy = ShardedPipeline.from_state(store, state)
-        assert legacy.kernel == KERNEL_AUTO
+        with pytest.raises(CorruptCheckpointError, match="kernel"):
+            ShardedPipeline.from_state(store, state)
 
     def test_invalid_kernel_is_rejected(self):
         store = TTKV()

@@ -11,7 +11,9 @@ The contracts under test:
 - the merged cluster set is exactly the per-shard sets re-sorted;
 - a session checkpointed with ``to_state()`` and resumed with
   ``from_state()`` on a re-opened store yields a byte-identical cluster
-  set while consuming **zero** already-read journal events.
+  set while consuming **zero** already-read journal events;
+- per-shard wall times are reported for exactly the shards that ran
+  (``UpdateStats.shard_timings``/``slowest_shard``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
-from repro.core.sharded import ShardedPipeline
+from repro.core.sharded import STATE_VERSION, ShardedPipeline
+from repro.exceptions import CheckpointError, CorruptCheckpointError
 from repro.ttkv.sharding import CATCH_ALL
 from repro.ttkv.store import DELETED, TTKV
 
@@ -277,6 +280,40 @@ class TestShardedBehaviour:
         assert ("a/x",) in _key_sets(result)
 
 
+class TestTimingStats:
+    def _pipeline(self):
+        store = TTKV()
+        pipeline = ShardedPipeline(store, shard_prefixes=PREFIXES)
+        return store, pipeline
+
+    def test_timings_cover_exactly_the_updated_shards(self):
+        store, pipeline = self._pipeline()
+        store.record_write("app_a/k0", 1, 10.0)
+        pipeline.update()
+        first = pipeline.last_stats
+        # first update touches every shard (all cursors fresh)
+        assert sorted(first.shard_timings) == sorted(pipeline.shard_ids)
+        assert all(seconds >= 0.0 for seconds in first.shard_timings.values())
+        assert first.slowest_shard in first.shard_timings
+
+        store.record_write("app_b/k0", 1, 20.0)
+        pipeline.update()
+        second = pipeline.last_stats
+        assert list(second.shard_timings) == ["app_b/"]
+        assert second.slowest_shard == "app_b/"
+        pipeline.close()
+
+    def test_no_op_update_reports_no_timings(self):
+        store, pipeline = self._pipeline()
+        store.record_write("app_a/k0", 1, 10.0)
+        pipeline.update()
+        pipeline.update()  # nothing advanced
+        stats = pipeline.last_stats
+        assert stats.shard_timings == {}
+        assert stats.slowest_shard is None
+        pipeline.close()
+
+
 class TestCheckpointValidation:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError):
@@ -287,48 +324,18 @@ class TestCheckpointValidation:
         assert pipeline.to_state()["version"] == 3
         pipeline.close()
 
-    def test_legacy_v1_checkpoint_loads_and_compacts(self):
-        # a version-1 checkpoint carries the FULL group history and no
-        # compacted baseline; it must still resume, produce identical
-        # clusters, and compact on the first update
+    def test_legacy_v1_checkpoint_rejected(self):
+        # versions 1 and 2 (full group history, no compacted baseline or
+        # no journal backend) are no longer loaded
         store = TTKV()
+        store.record_write("a/x", 1, 10.0)
         pipeline = ShardedPipeline(store, shard_prefixes=("a/",))
-        # pin the matrices to the uncompacted v1 behaviour so to_state()
-        # emits the legacy layout (batch observation folds internally, so
-        # it must be routed back through plain update_groups as well)
-        for engine in pipeline._engines.values():
-            matrix = engine._matrix
-            matrix.compact = lambda keep_from: 0
-            matrix.observe_groups_batch = (
-                lambda start, groups, _m=matrix: _m.update_groups(
-                    added=list(enumerate(groups, start))
-                )
-            )
-        for t in range(12):
-            store.record_write("a/x", t, t * 100.0)
-            store.record_write("a/y", t, t * 100.0 + 0.2)
-        before = pipeline.update()
+        pipeline.update()
         legacy = json.loads(json.dumps(pipeline.to_state()))
         legacy["version"] = 1
-        assert len(legacy["shards"]["a/"]["groups"]) > 1  # full history
-        for shard_state in legacy["shards"].values():
-            assert shard_state.pop("compacted") is None
         pipeline.close()
-
-        resumed = ShardedPipeline.from_state(store, legacy)
-        assert _key_sets(resumed.update()) == _key_sets(before)
-        store.record_write("a/x", 99, 5000.0)
-        store.record_write("a/y", 99, 5000.2)
-        resumed.update()
-        state = resumed.to_state()
-        assert state["version"] == 3
-        for shard_state in state["shards"].values():
-            assert len(shard_state["groups"]) <= 1
-        assert state["shards"]["a/"]["compacted"] is not None
-        assert _key_sets(resumed.cluster_set) == _key_sets(
-            _batch_for_shard(store, "a/")
-        )
-        resumed.close()
+        with pytest.raises(CheckpointError, match="unsupported .* version 1"):
+            ShardedPipeline.from_state(store, legacy)
 
     def test_mismatched_store_rejected(self):
         store = TTKV()
@@ -379,10 +386,74 @@ class TestCheckpointValidation:
         assert resumed.last_stats.events_consumed == 0
 
 
+class TestRestoreMismatchErrors:
+    """A checkpoint that does not match the store is a CheckpointError.
+
+    Every per-shard restore failure surfaces typed: a mismatch between
+    the checkpoint and the store's journal raises
+    :class:`~repro.exceptions.CheckpointError` (and is *not* reported as
+    corruption), a malformed value raises
+    :class:`~repro.exceptions.CorruptCheckpointError`.
+    """
+
+    def _state(self):
+        store = TTKV()
+        for t in range(3):
+            store.record_write("a/x", t, t * 100.0)
+            store.record_write("a/y", t, t * 100.0 + 0.2)
+        pipeline = ShardedPipeline(store, shard_prefixes=("a/",))
+        pipeline.update()
+        state = json.loads(json.dumps(pipeline.to_state()))
+        pipeline.close()
+        return store, state
+
+    def _assert_mismatch(self, store, state, match):
+        with pytest.raises(CheckpointError, match=match) as caught:
+            ShardedPipeline.from_state(store, state)
+        assert not isinstance(caught.value, CorruptCheckpointError)
+
+    def test_store_with_a_different_stream(self):
+        _, state = self._state()
+        other = TTKV()
+        for t in range(3):
+            other.record_write("a/p", t, t * 100.0)
+            other.record_write("a/q", t, t * 100.0 + 0.2)
+        self._assert_mismatch(other, state, "different stream")
+
+    def test_cursor_past_the_journal(self):
+        _, state = self._state()
+        self._assert_mismatch(TTKV(), state, "only holds 0 events")
+
+    def test_group_index_past_the_closed_count(self):
+        store, state = self._state()
+        shard = state["shards"]["a/"]
+        shard["groups"].append([shard["closed_count"] + 5, ["a/x"]])
+        self._assert_mismatch(store, state, "exceeds the closed count")
+
+    def test_provisional_group_mismatch(self):
+        store, state = self._state()
+        shard = state["shards"]["a/"]
+        shard["groups"] = [[shard["closed_count"], ["a/elsewhere"]]]
+        self._assert_mismatch(store, state, "provisional group")
+
+    def test_foreign_dendrogram(self):
+        store, state = self._state()
+        state["shards"]["a/"]["dendrograms"] = [
+            {"items": ["b/foreign", "b/other"], "merges": [[0, 1, 0.0]]}
+        ]
+        self._assert_mismatch(store, state, "dendrogram covers keys absent")
+
+    def test_malformed_value_is_corrupt(self):
+        store, state = self._state()
+        state["shards"]["a/"]["pending"] = [{"t": 1.0, "k": "a/x", "op": "?"}]
+        with pytest.raises(CorruptCheckpointError, match="a/"):
+            ShardedPipeline.from_state(store, state)
+
+
 class TestTypedCheckpointErrors:
     """Damaged checkpoints raise typed errors, never bare KeyError/TypeError.
 
-    Covers every supported state version (1–3): a truncated or corrupted
+    Covers the current state version: a truncated or corrupted
     checkpoint — missing fields, wrong-typed sections, mangled shard
     entries — must surface as
     :class:`~repro.exceptions.CorruptCheckpointError` with the faulty
@@ -399,58 +470,44 @@ class TestTypedCheckpointErrors:
         pipeline.update()
         state = json.loads(json.dumps(pipeline.to_state()))
         state["version"] = version
-        if version == 1:
-            # v1 predates the compacted baseline
-            for shard_state in state["shards"].values():
-                shard_state.pop("compacted")
         pipeline.close()
         return store, state
 
     def test_unsupported_version_is_a_checkpoint_error(self):
-        from repro.exceptions import CheckpointError
-
         with pytest.raises(CheckpointError, match="version"):
             ShardedPipeline.from_state(TTKV(), {"version": 99})
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", (STATE_VERSION,))
     @pytest.mark.parametrize("missing", ("params", "shards"))
     def test_missing_section_raises_corrupt_error(self, version, missing):
-        from repro.exceptions import CorruptCheckpointError
-
         store, state = self._state(version)
         del state[missing]
         with pytest.raises(CorruptCheckpointError, match="truncated or corrupt"):
             ShardedPipeline.from_state(store, state)
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", (STATE_VERSION,))
     def test_missing_param_raises_corrupt_error(self, version):
-        from repro.exceptions import CorruptCheckpointError
-
         store, state = self._state(version)
         del state["params"]["key_filter"]
         with pytest.raises(CorruptCheckpointError, match="key_filter"):
             ShardedPipeline.from_state(store, state)
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", (STATE_VERSION,))
     def test_wrong_typed_params_raise_corrupt_error(self, version):
-        from repro.exceptions import CorruptCheckpointError
-
         store, state = self._state(version)
         state["params"] = "not-a-dict"
         with pytest.raises(CorruptCheckpointError):
             ShardedPipeline.from_state(store, state)
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", (STATE_VERSION,))
     def test_mangled_shard_entry_names_the_shard(self, version):
-        from repro.exceptions import CorruptCheckpointError
-
         store, state = self._state(version)
         state["shards"]["a/"] = {"truncated": True}
         with pytest.raises(CorruptCheckpointError, match="a/"):
             ShardedPipeline.from_state(store, state)
 
     def test_typed_errors_remain_valueerrors(self):
-        store, state = self._state(3)
+        store, state = self._state(STATE_VERSION)
         del state["shards"]
         with pytest.raises(ValueError):
             ShardedPipeline.from_state(store, state)

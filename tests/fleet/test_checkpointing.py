@@ -191,7 +191,7 @@ class TestFleetRoundTrip:
         assert "m0" in resumed.machine_ids
         resumed.close()
 
-    def test_legacy_v1_flat_layout_still_loads(self, tmp_path):
+    def test_legacy_v1_flat_layout_rejected(self, tmp_path):
         fleet = self._fleet(self.EVENTS)
         machine_state = fleet.machine("m0").to_state()
         fleet.close()
@@ -216,9 +216,8 @@ class TestFleetRoundTrip:
         )
         store = TTKV()
         store.record_events(self.EVENTS)
-        resumed = FleetPipeline.from_state_dir(tmp_path, {"m0": store})
-        assert resumed.machine_ids == ("m0",)
-        resumed.close()
+        with pytest.raises(CheckpointError, match="unsupported fleet state version 1"):
+            FleetPipeline.from_state_dir(tmp_path, {"m0": store})
 
     def test_unsupported_version_raises_checkpoint_error(self, tmp_path):
         (tmp_path / "fleet.json").write_text(json.dumps({"version": 99}))

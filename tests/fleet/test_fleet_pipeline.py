@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.core.executors import ThreadShardExecutor
 from repro.fleet import FleetPipeline, concatenated_batch_clusters
 from repro.ttkv.store import TTKV
 from repro.workload.machines import PROFILES, profile_by_name
@@ -160,10 +159,10 @@ def test_schedule_hook_joins_and_leaves_within_one_drive(
     fleet.close()
 
 
-def _profile_fleet(profile_name, *, machines=2, days=1, executor=None, max_lag=None):
+def _profile_fleet(profile_name, *, machines=2, days=1, max_lag=None):
     """A fleet of same-profile machines with per-machine seeded traces."""
     profile = profile_by_name(profile_name)
-    fleet = FleetPipeline(executor=executor, max_lag=max_lag)
+    fleet = FleetPipeline(max_lag=max_lag)
     machine_events, machine_prefixes = {}, {}
     for index in range(machines):
         machine_id = f"m{index}"
@@ -194,27 +193,6 @@ def test_profile_fleets_equal_concatenated_batch(profile):
         machine_events, machine_prefixes
     )
     fleet.close()
-
-
-def test_serial_and_thread_executors_agree():
-    """Round-for-round identical models whatever the shard executor."""
-    models = {}
-    for name in ("serial", "thread"):
-        executor = ThreadShardExecutor(2) if name == "thread" else None
-        fleet, machine_events, _ = _profile_fleet("Linux-1", executor=executor)
-        feeds = {
-            machine_id: _chunked(events, 4)
-            for machine_id, events in machine_events.items()
-        }
-        rounds = _drive(fleet, feeds)
-        models[name] = [
-            (r.events_fed, r.events_consumed, _cluster_sets(r.clusters))
-            for r in rounds
-        ]
-        fleet.close()
-        if executor is not None:
-            executor.close()
-    assert models["serial"] == models["thread"]
 
 
 def test_backpressure_bounds_per_round_feed():

@@ -12,6 +12,7 @@ import asyncio
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.sharded import ShardedPipeline
 from repro.fleet import FleetPipeline, concatenated_batch_clusters
 from repro.fleet.resilience import (
     ACTION_RESTART,
@@ -338,6 +339,43 @@ class TestCheckpointRecovery:
         resumed = FleetPipeline.from_state_dir(tmp_path, stores)
         assert _cluster_sets(resumed.update()) == clusters
         resumed.close()
+
+
+    def _restart_with_state(self, state):
+        """Restart one machine whose last checkpoint is ``state``."""
+        events = [(1.0, "mail/a", 1), (1.2, "mail/b", 1)]
+        store = TTKV()
+        store.record_events(events)
+        fleet = FleetPipeline()
+        fleet.add_machine("m0", store, _PREFIXES)
+        fleet.update()
+        resilience = FleetResilience()
+        resilience.load_machine_state = lambda machine_id: state
+        return fleet, fleet._restart_machine("m0", resilience, close_old=True)
+
+    def test_restart_over_a_mismatched_checkpoint_starts_fresh(self):
+        """A checkpoint of another stream is refused; the machine rebuilds."""
+        foreign = TTKV()
+        foreign.record_events([(5.0, "edit/x", 9), (5.1, "edit/y", 9)])
+        other = ShardedPipeline(foreign, shard_prefixes=_PREFIXES)
+        other.update()
+        fleet, fresh = self._restart_with_state(other.to_state())
+        other.close()
+        assert fresh.pending_events == 2  # cursor 0: nothing restored
+        assert _cluster_sets(fleet.update()) == _reference(
+            {"m0": [(1.0, "mail/a", 1), (1.2, "mail/b", 1)]}
+        )
+        fleet.close()
+
+    def test_restart_does_not_swallow_other_errors(self, monkeypatch):
+        """Only checkpoint errors fall back to a fresh pipeline."""
+
+        def broken(cls, store, state, **overrides):
+            raise ValueError("not a checkpoint problem")
+
+        monkeypatch.setattr(ShardedPipeline, "from_state", classmethod(broken))
+        with pytest.raises(ValueError, match="not a checkpoint problem"):
+            self._restart_with_state({"version": 3})
 
 
 class TestHealthReporting:

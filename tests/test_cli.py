@@ -65,41 +65,10 @@ class TestCommands:
         assert "FIXED" in out
 
 
-class TestStreamExecutorFlags:
+class TestStreamFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["stream"])
-        assert args.executor == "serial"
-        assert args.workers is None
         assert args.timings is False
-
-    def test_executor_and_workers_parse(self):
-        args = build_parser().parse_args(
-            ["stream", "--executor", "thread", "--workers", "3", "--timings"]
-        )
-        assert args.executor == "thread"
-        assert args.workers == 3
-        assert args.timings is True
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--executor", "fleet"])
-
-    @pytest.mark.parametrize("workers", ("0", "-2", "two"))
-    def test_nonpositive_workers_rejected(self, workers):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--workers", workers])
-
-    def test_worker_validation_shares_the_executor_message(self, capsys):
-        # one source of truth: the CLI routes through the executors'
-        # _checked_workers rule instead of a parallel argparse check
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--workers", "0"])
-        assert "workers must be at least 1, got 0" in capsys.readouterr().err
-
-    def test_non_integer_workers_message(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--workers", "two"])
-        assert "workers must be an integer, got 'two'" in capsys.readouterr().err
 
     def test_kernel_parses_and_defaults_to_checkpoint_friendly_none(self):
         assert build_parser().parse_args(["stream"]).kernel is None
@@ -127,32 +96,11 @@ class TestStreamCommand:
         assert main(self.ARGS + list(extra)) == 0
         return capsys.readouterr().out.splitlines()
 
-    def test_identical_output_across_executors(self, capsys, tmp_path):
-        """Same trace, same clusters, same progress — whatever the executor.
-
-        The header line names the executor, so everything after it must
-        match byte for byte (timings stay off: they are wall-clock noise).
-        """
-        outputs = {}
-        for executor in ("serial", "thread", "process"):
-            state = tmp_path / f"{executor}.json"
-            lines = self._run(
-                capsys,
-                "--executor", executor, "--workers", "2", "--state", str(state),
-            )
-            assert state.exists()
-            # drop the header (names the executor) and the state path line
-            outputs[executor] = lines[1:-1]
-        assert outputs["serial"] == outputs["thread"] == outputs["process"]
-
-    def test_resume_uses_requested_executor(self, capsys, tmp_path):
+    def test_resume_consumes_nothing_new(self, capsys, tmp_path):
         state = tmp_path / "session.json"
         first = self._run(capsys, "--state", str(state))
         assert any("checkpointed" in line for line in first)
-        resumed = self._run(
-            capsys,
-            "--executor", "thread", "--workers", "2", "--state", str(state),
-        )
+        resumed = self._run(capsys, "--state", str(state))
         assert any("resumed session" in line for line in resumed)
         assert any("0 new event(s) consumed" in line for line in resumed)
 
@@ -201,37 +149,20 @@ class TestStreamCommand:
         assert outputs["auto"] == outputs["numpy"] == outputs["python"]
 
 
-class TestFleetExecutorFlags:
+class TestFleetFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["fleet"])
         assert args.machines == 3
         assert args.profile == "Linux-1"
-        assert args.executor == "serial"
-        assert args.workers is None
         assert args.max_lag is None
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
-            [
-                "fleet", "--machines", "4", "--executor", "thread",
-                "--workers", "2", "--max-lag", "50", "--state", "dir",
-            ]
+            ["fleet", "--machines", "4", "--max-lag", "50", "--state", "dir"]
         )
         assert args.machines == 4
-        assert args.executor == "thread"
-        assert args.workers == 2
         assert args.max_lag == 50
         assert args.state == "dir"
-
-    def test_process_executor_rejected(self):
-        # the process executor's worker-affinity cache is per-session
-        # state, so the fleet deliberately does not offer it
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--executor", "process"])
-
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--workers", "0"])
 
 
 class TestFleetCommand:
@@ -241,35 +172,15 @@ class TestFleetCommand:
         assert main(self.ARGS + list(extra)) == 0
         return capsys.readouterr().out.splitlines()
 
-    def test_identical_output_across_executors(self, capsys, tmp_path):
-        """Same fleet, same rounds, same clusters — whatever the executor.
-
-        The header line names the executor, so everything after it must
-        match byte for byte; the checkpoint line names the per-executor
-        state directory, so it is dropped too.
-        """
-        outputs = {}
-        for executor in ("serial", "thread"):
-            state = tmp_path / executor
-            lines = self._run(
-                capsys,
-                "--executor", executor, "--workers", "2", "--state", str(state),
-            )
-            assert (state / "fleet.json").exists()
-            # crash-safe layout: machine files live in a generation dir
-            assert (state / "gen-000001" / "machine-m000.json").exists()
-            assert (state / "gen-000001" / "manifest.json").exists()
-            outputs[executor] = lines[1:-1]
-        assert outputs["serial"] == outputs["thread"]
-
     def test_resume_consumes_nothing_new(self, capsys, tmp_path):
         state = tmp_path / "fleet-state"
         first = self._run(capsys, "--state", str(state))
         assert any("checkpointed" in line for line in first)
-        resumed = self._run(
-            capsys,
-            "--executor", "thread", "--workers", "2", "--state", str(state),
-        )
+        assert (state / "fleet.json").exists()
+        # crash-safe layout: machine files live in a generation dir
+        assert (state / "gen-000001" / "machine-m000.json").exists()
+        assert (state / "gen-000001" / "manifest.json").exists()
+        resumed = self._run(capsys, "--state", str(state))
         assert any("resumed fleet session" in line for line in resumed)
         assert any("0 new event(s) consumed" in line for line in resumed)
 

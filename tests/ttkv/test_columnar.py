@@ -3,9 +3,9 @@
 The contract under test: a :class:`ColumnarJournal` is observably identical
 to the pure-Python :class:`EventJournal` — same events, same cursors, same
 reorder accounting — for any append sequence, including out-of-order ones,
-at any segment size.  Persistence round-trips (mmap and copy modes) and the
-interned batch hand-off codec preserve that equality, and journal reads are
-zero-copy views over the sealed segments.
+at any segment size.  Persistence round-trips (mmap and copy modes)
+preserve that equality, and journal reads are zero-copy views over the
+sealed segments.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from repro.ttkv.columnar import (
     resolve_backend,
     save_columnar,
 )
-from repro.ttkv.journal import (
-    EventJournal,
-    EventSliceView,
-    JournalCursor,
-    decode_event_batch,
-    encode_event_batch,
-)
+from repro.ttkv.journal import EventJournal, EventSliceView, JournalCursor
 from repro.ttkv.store import DELETED
 
 np = pytest.importorskip("numpy")
@@ -132,20 +126,6 @@ def test_cursor_reads_parity(events, segment_size, data):
     rew_r, flex_r, fr = reference.read_flexible(cursor_r)
     assert (rew_c, fc) == (rew_r, fr)
     assert flex_c == flex_r.materialize()
-
-
-@given(_events, _segment_sizes)
-@settings(max_examples=50, deadline=None)
-def test_batch_codec_round_trip(events, segment_size):
-    """encode_event_batch(view) decodes to the original events, both backends."""
-    columnar, reference = _paired(events, segment_size)
-    payload_c = encode_event_batch(columnar.events_from(0))
-    payload_r = encode_event_batch(reference.events_from(0))
-    assert decode_event_batch(payload_c) == reference.events()
-    assert decode_event_batch(payload_r) == reference.events()
-    # payloads are JSON-shaped: ship each distinct key/value once
-    json.dumps(payload_r)
-    assert len(payload_c["keys"]) == len(set(k for _, k, _ in reference.events()))
 
 
 @given(_events, _segment_sizes, st.integers(min_value=0, max_value=30))
