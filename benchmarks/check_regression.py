@@ -72,10 +72,10 @@ GATES: dict[str, dict] = {
         "headline": [
             ("ingest_speedup", "higher"),
             ("ingest_throughput", "higher"),
-            ("resume_speedup", "higher"),
         ],
-        "invariants": ["columnar_equals_list"],
-        "identity": ["seed", "quick", "groups", "events"],
+        # the bench raises when the batch fold diverges from the loop
+        "invariants": [],
+        "identity": ["seed", "quick", "groups"],
     },
     "BENCH_fleet.json": {
         "headline": [("fleet_speedup", "higher")],

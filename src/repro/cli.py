@@ -119,14 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "kernel",
     )
     stream.add_argument(
-        "--journal", choices=("auto", "list", "columnar"), default=None,
-        help="event-journal backend: 'auto' (default) stores events in "
-        "columnar numpy segments when numpy is installed and falls back "
-        "to the pure-Python list journal otherwise; 'columnar'/'list' "
-        "force one backend; clusters are identical either way — on "
-        "--state resume the flag overrides the checkpointed backend",
-    )
-    stream.add_argument(
         "--scenario", default=None, metavar="YAML",
         help="run one machine of a declarative scenario config instead of "
         "the ad-hoc trace flags; the YAML (plus REPRO__* environment "
@@ -399,7 +391,7 @@ def _cmd_stream(args) -> str:
         # are never read again.
         from repro.fleet.checkpointing import load_json_checkpoint
 
-        live = TTKV(journal_backend=args.journal or "list")
+        live = TTKV()
         ingest_start = time.perf_counter()
         live.record_events(events)
         ingest_seconds = time.perf_counter() - ingest_start
@@ -408,7 +400,6 @@ def _cmd_stream(args) -> str:
             load_json_checkpoint(state_path, kind="session checkpoint"),
             repair_mode=args.repair_mode,
             kernel=args.kernel,
-            journal_backend=args.journal,
         )
         clusters = pipeline.update()
         stats = pipeline.last_stats
@@ -426,7 +417,7 @@ def _cmd_stream(args) -> str:
             line += _ingest_suffix(ingest_seconds) + _timing_suffix(stats)
         lines.append(line)
     else:
-        live = TTKV(journal_backend=args.journal or "list")
+        live = TTKV()
         pipeline = ShardedPipeline(
             live,
             shard_prefixes=prefixes,
@@ -434,7 +425,6 @@ def _cmd_stream(args) -> str:
             correlation_threshold=args.threshold,
             repair_mode=args.repair_mode or "splice",
             kernel=args.kernel or "auto",
-            journal_backend=args.journal or "auto",
         )
         chunk_size = max(1, -(-len(events) // max(1, args.chunks)))
         chunks = -(-len(events) // chunk_size) if events else 0

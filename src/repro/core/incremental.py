@@ -53,7 +53,6 @@ from repro.core.dendro_repair import REPAIR_SPLICE
 from repro.core.hac_kernel import KERNEL_AUTO
 from repro.core.sharded import ShardedPipeline, UpdateStats
 from repro.core.windowing import GROUPING_SLIDING
-from repro.ttkv.columnar import BACKEND_AUTO
 from repro.ttkv.sharding import CATCH_ALL
 from repro.ttkv.store import TTKV
 
@@ -100,7 +99,6 @@ class IncrementalPipeline(ShardedPipeline):
         grouping: str = GROUPING_SLIDING,
         repair_mode: str = REPAIR_SPLICE,
         kernel: str = KERNEL_AUTO,
-        journal_backend: str = BACKEND_AUTO,
     ) -> None:
         super().__init__(
             store,
@@ -113,7 +111,6 @@ class IncrementalPipeline(ShardedPipeline):
             catch_all=True,
             repair_mode=repair_mode,
             kernel=kernel,
-            journal_backend=journal_backend,
         )
 
     @property

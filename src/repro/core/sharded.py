@@ -85,19 +85,18 @@ from repro.core.ordering import SortedKeySets, diff_sorted
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
 from repro.core.windowing import GROUPING_SLIDING, StreamingGroupExtractor
 from repro.exceptions import CheckpointError, CorruptCheckpointError
-from repro.ttkv.columnar import BACKEND_AUTO, resolve_backend
 from repro.ttkv.journal import EventJournal, JournalCursor, decode_event, encode_event
 from repro.ttkv.sharding import ShardedJournal
 from repro.ttkv.store import TTKV
 
 #: Checkpoint format version written by :meth:`ShardedPipeline.to_state`.
-#: Shard states carry a ``"compacted"`` aggregate baseline, their
-#: ``"groups"`` list holds only the retractable tail, and the session
-#: params record ``"journal_backend"``.
-STATE_VERSION = 3
+#: Shard states carry a ``"compacted"`` aggregate baseline and their
+#: ``"groups"`` list holds only the retractable tail.  Version 4 dropped
+#: the shard-journal backend name that version 3 recorded in its params.
+STATE_VERSION = 4
 
 #: Checkpoint versions :meth:`ShardedPipeline.from_state` accepts.
-SUPPORTED_STATE_VERSIONS = (3,)
+SUPPORTED_STATE_VERSIONS = (4,)
 
 #: Minimum closed groups per update before :meth:`ShardEngine.
 #: _register_stream` takes the matrix's bulk-ingest path; the routine
@@ -839,7 +838,6 @@ class ShardedPipeline:
         catch_all: bool = True,
         repair_mode: str = REPAIR_SPLICE,
         kernel: str = KERNEL_AUTO,
-        journal_backend: str = BACKEND_AUTO,
     ) -> None:
         self.store = store
         self.shard_prefixes = tuple(shard_prefixes)
@@ -851,7 +849,6 @@ class ShardedPipeline:
         self.grouping = grouping
         self.repair_mode = repair_mode
         self.kernel = kernel
-        self.journal_backend = journal_backend
         self.last_stats: UpdateStats | None = None
         self._journal_view: ShardedJournal | None = None
         self._reset()
@@ -860,9 +857,6 @@ class ShardedPipeline:
         # repair_mode and kernel are deliberately absent: they never
         # change results, so retuning them applies to the engines in
         # place instead of restarting the session (see update()).
-        # journal_backend never changes results either, but retuning it
-        # *is* a restart: the shard journals must be rebuilt on the new
-        # storage.
         return (
             self.window,
             self.correlation_threshold,
@@ -871,7 +865,6 @@ class ShardedPipeline:
             self.grouping,
             tuple(self.shard_prefixes),
             self.catch_all,
-            self.journal_backend,
         )
 
     def _reset(self) -> None:
@@ -895,7 +888,6 @@ class ShardedPipeline:
             self.shard_prefixes,
             catch_all=self.catch_all,
             key_filter=self.key_filter,
-            backend=resolve_backend(self.journal_backend),
         )
         self._engines = {
             shard_id: ShardEngine(
@@ -1095,7 +1087,6 @@ class ShardedPipeline:
                 "catch_all": self.catch_all,
                 "repair_mode": self.repair_mode,
                 "kernel": self.kernel,
-                "journal_backend": self.journal_backend,
             },
             "shards": {
                 shard_id: engine.to_state()
@@ -1111,7 +1102,6 @@ class ShardedPipeline:
         *,
         repair_mode: str | None = None,
         kernel: str | None = None,
-        journal_backend: str | None = None,
     ) -> "ShardedPipeline":
         """Rebuild a session over ``store`` from :meth:`to_state` output.
 
@@ -1119,9 +1109,9 @@ class ShardedPipeline:
         session had consumed — a deployment re-opening its persisted TTKV
         satisfies this.  Always returns a :class:`ShardedPipeline`, with
         the checkpoint's parameters (not the defaults of ``cls``).
-        ``repair_mode``, ``kernel`` and ``journal_backend`` affect only
-        how much work updates do, never their output: ``None`` (default)
-        keeps the checkpoint's value, an explicit value overrides it.
+        ``repair_mode`` and ``kernel`` affect only how much work updates
+        do, never their output: ``None`` (default) keeps the checkpoint's
+        value, an explicit value overrides it.
 
         Every failure is a :class:`~repro.exceptions.CheckpointError`: an
         unsupported version or a checkpoint that does not match ``store``
@@ -1149,11 +1139,6 @@ class ShardedPipeline:
                     repair_mode if repair_mode is not None else params["repair_mode"]
                 ),
                 kernel=kernel if kernel is not None else params["kernel"],
-                journal_backend=(
-                    journal_backend
-                    if journal_backend is not None
-                    else params["journal_backend"]
-                ),
             )
             shards = state["shards"]
         except (KeyError, TypeError, AttributeError, ValueError) as error:

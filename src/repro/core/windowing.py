@@ -21,14 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-try:  # soft dependency: windowing works without numpy (pure-Python loop)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: Chunks below this size gain nothing from vectorised boundary detection.
-FEED_VECTOR_MIN = 64
-
 
 @dataclass(frozen=True)
 class WriteGroup:
@@ -138,61 +130,12 @@ class StreamingGroupExtractor:
     def feed_many(
         self, events: Iterable[tuple[float, str, Any]]
     ) -> list[WriteGroup]:
-        """Absorb a chunk of events; return every group closed by it.
-
-        Chunks served as columnar journal views take a vectorised path:
-        group boundaries are found on the timestamp column in one pass
-        (``diff > window`` for the sliding window, floor-quotient change
-        for buckets) and events are decoded once, per group.  The result —
-        closed groups, pending tail, and the ValueError on unsorted input —
-        is identical to feeding event by event; the only visible difference
-        is that a bad timestamp is rejected before any event of the chunk
-        is absorbed rather than midway through.
-        """
-        parts_of = getattr(events, "columnar_parts", None)
-        if (
-            parts_of is not None
-            and _np is not None
-            and len(events) >= FEED_VECTOR_MIN
-        ):
-            parts = parts_of()
-            if parts is not None:
-                return self._feed_columnar(events, parts[0])
+        """Absorb a chunk of events; return every group closed by it."""
         closed: list[WriteGroup] = []
         for event in events:
             group = self.feed(event)
             if group is not None:
                 closed.append(group)
-        return closed
-
-    def _feed_columnar(self, events, times) -> list[WriteGroup]:
-        """Vectorised :meth:`feed_many` over a timestamp column array."""
-        if _np.any(times[1:] < times[:-1]):
-            raise ValueError("events must be sorted by timestamp")
-        if self._current and float(times[0]) < self._current[-1][0]:
-            raise ValueError("events must be sorted by timestamp")
-        if self._grouping == GROUPING_SLIDING or self._window == 0:
-            breaks = _np.flatnonzero(_np.diff(times) > self._window) + 1
-        else:
-            buckets = _np.floor_divide(times, self._window)
-            breaks = _np.flatnonzero(buckets[1:] != buckets[:-1]) + 1
-        rows = events.materialize()
-        bounds = [0, *breaks.tolist(), len(rows)]
-        closed: list[WriteGroup] = []
-        if self._current and self._closes(float(times[0])):
-            closed.append(_finish(self._current))
-            self._current = []
-        for i in range(len(bounds) - 2):
-            segment = rows[bounds[i] : bounds[i + 1]]
-            if i == 0 and self._current:
-                segment = self._current + segment
-            closed.append(_finish(segment))
-        tail = rows[bounds[-2] :]
-        if len(bounds) == 2 and self._current:
-            self._current.extend(tail)
-        else:
-            self._current = tail
-        self._bucket = self._bucket_of(float(times[-1]))
         return closed
 
     def rewind(self, count: int) -> tuple[tuple[float, str, Any], ...]:

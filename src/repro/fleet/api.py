@@ -20,6 +20,12 @@ Under a supervised drive (``drive(resilience=...)``) ``/health`` adds
 the supervision summary — worst-machine status, health counts, the
 stale-evidence machine list, restart/fault totals — and each machine's
 ``/status`` carries its ``HEALTHY/DEGRADED/UNHEALTHY`` state.
+
+Request input comes from the network, so reading it is bounded: the
+request line and headers must arrive within :data:`READ_TIMEOUT` seconds
+(else 408), no line may exceed :data:`MAX_LINE_BYTES` and at most
+:data:`MAX_HEADERS` header lines are read (else 400).  Every connection
+is closed after its one response.
 """
 
 from __future__ import annotations
@@ -34,7 +40,33 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
 }
+
+#: Seconds a client has to send its request line and all its headers.
+READ_TIMEOUT = 10.0
+
+#: Longest request or header line read (the stream reader's limit).
+MAX_LINE_BYTES = 8192
+
+#: Most header lines read after the request line.
+MAX_HEADERS = 100
+
+
+class _BadRequest(ValueError):
+    """A request the server answers with 400."""
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str]:
+    """``(method, path)`` of one request, after draining its headers."""
+    parts = (await reader.readline()).decode("latin-1").split()
+    if len(parts) < 2:
+        raise _BadRequest("malformed request line")
+    # drain the headers; all routes are bodyless GETs
+    for _ in range(MAX_HEADERS + 1):
+        if await reader.readline() in (b"\r\n", b"\n", b""):
+            return parts[0], parts[1].split("?", 1)[0]
+    raise _BadRequest(f"more than {MAX_HEADERS} header lines")
 
 
 class FleetQueryServer:
@@ -66,7 +98,9 @@ class FleetQueryServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=MAX_LINE_BYTES
+        )
         return self.address
 
     async def close(self) -> None:
@@ -99,22 +133,22 @@ class FleetQueryServer:
             return 200, status
         return 404, {"error": f"no route {path!r}"}
 
+    async def _respond_to(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
+        try:
+            method, path = await asyncio.wait_for(_read_request(reader), READ_TIMEOUT)
+        except asyncio.TimeoutError:
+            return 408, {"error": f"request not received within {READ_TIMEOUT} s"}
+        except _BadRequest as error:
+            return 400, {"error": str(error)}
+        except ValueError:  # the stream reader's line limit
+            return 400, {"error": f"line longer than {MAX_LINE_BYTES} bytes"}
+        return self._route(method, path)
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) >= 2:
-                method, path = parts[0], parts[1].split("?", 1)[0]
-                # drain the headers; all routes are bodyless GETs
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                status, payload = self._route(method, path)
-            else:
-                status, payload = 400, {"error": "malformed request line"}
+            status, payload = await self._respond_to(reader)
             body = json.dumps(payload).encode("utf-8")
             writer.write(
                 (

@@ -72,11 +72,12 @@ from repro.fleet.resilience import (
     InjectedFault,
     UpdatePlan,
 )
-from repro.ttkv.columnar import BACKEND_AUTO
 from repro.ttkv.store import TTKV
 
-STATE_VERSION = 2
-SUPPORTED_STATE_VERSIONS = (2,)
+#: Fleet manifest format; version 3 dropped the shard-journal backend
+#: name that version 2 recorded in its params.
+STATE_VERSION = 3
+SUPPORTED_STATE_VERSIONS = (3,)
 
 #: Machine ids become checkpoint file names, so keep them path-safe.
 _MACHINE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -113,10 +114,9 @@ class FleetPipeline:
     """A fleet of per-machine pipelines plus the fleet-level merge.
 
     Parameters mirror the per-machine pipelines (``window``,
-    ``correlation_threshold``, ``linkage``, ``kernel``,
-    ``journal_backend``) and apply to every machine.  ``max_lag`` is the
-    per-machine backpressure bound used by :meth:`drive` (``None``:
-    unbounded).
+    ``correlation_threshold``, ``linkage``, ``kernel``) and apply to
+    every machine.  ``max_lag`` is the per-machine backpressure bound
+    used by :meth:`drive` (``None``: unbounded).
     """
 
     def __init__(
@@ -126,7 +126,6 @@ class FleetPipeline:
         correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
         linkage: str = LINKAGE_COMPLETE,
         kernel: str = KERNEL_AUTO,
-        journal_backend: str = BACKEND_AUTO,
         max_lag: int | None = None,
     ) -> None:
         if max_lag is not None and max_lag < 1:
@@ -135,7 +134,6 @@ class FleetPipeline:
         self.correlation_threshold = correlation_threshold
         self.linkage = linkage
         self.kernel = kernel
-        self.journal_backend = journal_backend
         self.max_lag = max_lag
         self._machines: dict[str, ShardedPipeline] = {}
         self._merge = FleetCorrelationMerge(
@@ -194,7 +192,6 @@ class FleetPipeline:
             correlation_threshold=self.correlation_threshold,
             linkage=self.linkage,
             kernel=self.kernel,
-            journal_backend=self.journal_backend,
         )
         self._machines[machine_id] = pipeline
         self._refresh_status(machine_id)
@@ -409,7 +406,6 @@ class FleetPipeline:
                 catch_all=old.catch_all,
                 repair_mode=old.repair_mode,
                 kernel=old.kernel,
-                journal_backend=old.journal_backend,
             )
         self._machines[machine_id] = fresh
         self._forced_sweeps.add(machine_id)
@@ -708,7 +704,6 @@ class FleetPipeline:
                 "correlation_threshold": self.correlation_threshold,
                 "linkage": self.linkage,
                 "kernel": self.kernel,
-                "journal_backend": self.journal_backend,
                 "max_lag": self.max_lag,
             },
         }
@@ -747,15 +742,15 @@ class FleetPipeline:
         stores: Mapping[str, TTKV],
         *,
         kernel: str | None = None,
-        journal_backend: str | None = None,
         max_lag: int | None = None,
     ) -> "FleetPipeline":
         """Restore a fleet over re-opened per-machine stores.
 
         ``stores`` must provide a store for every machine named in the
         manifest, each holding (at least) the journal that machine's
-        checkpoint had consumed.  ``kernel``/``journal_backend`` override the checkpointed values when given; ``max_lag``
-        overrides the checkpointed backpressure bound.
+        checkpoint had consumed.  ``kernel`` overrides the checkpointed
+        kernel when given; ``max_lag`` overrides the checkpointed
+        backpressure bound.
 
         Restores from the newest checkpoint generation that verifies
         (checksums + parse); damaged generations are quarantined and
@@ -786,7 +781,6 @@ class FleetPipeline:
             correlation_threshold = params["correlation_threshold"]
             linkage = params["linkage"]
             state_kernel = params["kernel"]
-            state_backend = params["journal_backend"]
             state_max_lag = params["max_lag"]
         except (KeyError, TypeError) as error:
             raise CorruptCheckpointError(
@@ -803,9 +797,6 @@ class FleetPipeline:
             correlation_threshold=correlation_threshold,
             linkage=linkage,
             kernel=kernel if kernel is not None else state_kernel,
-            journal_backend=(
-                journal_backend if journal_backend is not None else state_backend
-            ),
             max_lag=max_lag if max_lag is not None else state_max_lag,
         )
         for machine_id in machine_ids:
@@ -813,7 +804,6 @@ class FleetPipeline:
                 stores[machine_id],
                 machine_states[machine_id],
                 kernel=kernel,
-                journal_backend=journal_backend,
             )
             fleet._refresh_status(machine_id)
         fleet._rounds = rounds

@@ -79,7 +79,6 @@ class PipelineSection(BaseModel):
     correlation_threshold: float = Field(default=2.0, gt=0)
     linkage: Literal["complete", "single", "average"] = "complete"
     kernel: Literal["auto", "numpy", "python"] = "auto"
-    journal_backend: Literal["auto", "list", "columnar"] = "auto"
 
 
 class FleetSection(BaseModel):

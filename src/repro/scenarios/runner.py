@@ -178,7 +178,6 @@ def run_fleet_scenario(
         correlation_threshold=config.pipeline.correlation_threshold,
         linkage=config.pipeline.linkage,
         kernel=config.pipeline.kernel,
-        journal_backend=config.pipeline.journal_backend,
         max_lag=config.fleet.max_lag,
     )
 
@@ -309,7 +308,6 @@ def run_stream_scenario(
         correlation_threshold=config.pipeline.correlation_threshold,
         linkage=config.pipeline.linkage,
         kernel=config.pipeline.kernel,
-        journal_backend=config.pipeline.journal_backend,
     )
     updates = reorders = rebuilds = fed = 0
     try:

@@ -14,20 +14,6 @@ from repro.ttkv.journal import (
     decode_event,
     encode_event,
 )
-from repro.ttkv.columnar import (
-    BACKEND_AUTO,
-    BACKEND_COLUMNAR,
-    BACKEND_LIST,
-    BACKEND_NAMES,
-    ColumnarJournal,
-    ColumnarView,
-    columnar_available,
-    journal_backend,
-    load_columnar,
-    make_journal,
-    resolve_backend,
-    save_columnar,
-)
 from repro.ttkv.sharding import CATCH_ALL, ShardedJournal
 from repro.ttkv.snapshot import RollbackPlan, SnapshotView, rollback_plan
 from repro.ttkv.persistence import load_ttkv, save_ttkv
@@ -43,18 +29,6 @@ __all__ = [
     "JournalCursor",
     "decode_event",
     "encode_event",
-    "BACKEND_AUTO",
-    "BACKEND_COLUMNAR",
-    "BACKEND_LIST",
-    "BACKEND_NAMES",
-    "ColumnarJournal",
-    "ColumnarView",
-    "columnar_available",
-    "journal_backend",
-    "load_columnar",
-    "make_journal",
-    "resolve_backend",
-    "save_columnar",
     "CATCH_ALL",
     "ShardedJournal",
     "RollbackPlan",

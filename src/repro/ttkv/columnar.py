@@ -1,123 +1,56 @@
-"""Columnar event journal: numpy segments, zero-copy slices, mmap resume.
+"""Columnar trace files: the end-to-end benchmark's on-disk trace format.
 
-The list-backed :class:`~repro.ttkv.journal.EventJournal` holds one Python
-tuple (plus a key string and a value object) per modification.  At fleet
-scale — months of events for thousands of machines — that representation
-is the memory and (de)serialization wall ROADMAP.md names: every resume
-re-decodes the whole history through JSON and every shard slice copies a
-list of tuples.
+The end-to-end benchmark (``benchmarks/e2e``) generates its seeded traces
+once and caches them on disk.  This module is that cache's file format and
+the in-memory journal that writes and reads it.  Stores and shards do not
+use it: their only journal is the list-backed
+:class:`~repro.ttkv.journal.EventJournal`.
 
-:class:`ColumnarJournal` is the array-backed replacement.  Same API, same
-observable event stream, different storage:
+:class:`ColumnarJournal` keeps a sorted event stream in two parts:
 
-- **Interned string tables.**  Keys repeat constantly (a config key is
-  written many times) and values repeat often (booleans, small enums).
-  Each distinct key/value is stored once in a side table; events refer to
-  them by ``int32`` id.
-- **Sealed segments.**  Events accumulate in a small Python append buffer;
-  once it reaches ``segment_size`` entries it is *sealed* into an
+- **Interned string tables.**  Each distinct key and value is stored once
+  in a side table, and events refer to them by ``int32`` id.
+- **Sealed segments.**  Events accumulate in a small Python append buffer.
+  Once it reaches ``segment_size`` entries it is *sealed* into an
   immutable numpy structured array of ``(float64 time, int32 key id,
-  int32 value id)`` rows.  Appends therefore stay O(1) amortised, and the
-  sealed bulk of the journal is a handful of flat arrays.
-- **Zero-copy slices.**  :meth:`ColumnarJournal.events_from` (and
-  :meth:`read`/:meth:`read_flexible`) return a :class:`ColumnarView` —
-  numpy slice views over the sealed segments plus a snapshot of the
-  buffer tail.  Nothing is decoded until a consumer actually touches an
-  event, and bulk consumers (the windowing extractor) use the column
-  arrays directly.
-- **Memory-mapped persistence.**  :func:`save_columnar` writes the sealed
-  columns as one ``.npy`` array plus a JSON side-car for the string
-  tables; :func:`load_columnar` memory-maps the array back, so resume is
-  an mmap + cursor seek instead of a JSON decode of every event.
+  int32 value id)`` rows.
 
-**Timestamps are float64**, not the int64 the columnar plan first
-sketched: the whole equality contract of this repository compares Python
-``float`` timestamps bit-for-bit, and IEEE-754 doubles round-trip those
-exactly while int64 would quantise them.
+:meth:`ColumnarJournal.read_flexible` has the list journal's cursor
+semantics and returns a :class:`ColumnarView`, a lazy window over the
+sealed segments plus a snapshot of the buffer tail.
 
-**Out-of-order appends** follow the same bisect rule as the list backend.
-An insertion landing in the buffer is a list insert; one landing in a
-sealed segment rebuilds just that segment (a rare O(segment) splice —
-loggers race across quantisation boundaries occasionally, not often).
-Cursor semantics (:class:`~repro.ttkv.journal.JournalCursor`, epochs,
-:class:`~repro.exceptions.StaleCursorError`) are identical.  Views are
-snapshots: an out-of-order insertion below a view's range leaves the view
-showing pre-insertion history, so consumers materialise or consume a view
-within the update that produced it (every caller in this repository does).
+:func:`save_columnar` writes the sealed columns as one ``.npy`` array plus
+a JSON side-car for the string tables and the reorder history
+(format version :data:`COLUMNAR_FORMAT_VERSION`); :func:`load_columnar`
+reads them back, memory-mapped or copied.
 
-numpy is a **soft dependency** (``pip install repro-ocasta[fast]``): the
-list journal remains the reference implementation and the fallback.
-:func:`make_journal` picks the backend — ``"auto"`` silently falls back
-to the list journal without numpy, ``"columnar"`` raises a clear error.
+**Timestamps are float64**: the equality contract of this repository
+compares Python ``float`` timestamps bit-for-bit, and IEEE-754 doubles
+round-trip them exactly.
+
+**Out-of-order appends** follow the list journal's bisect rule.  An
+insertion landing in the buffer is a list insert; one landing in a sealed
+segment rebuilds just that segment.
+
+numpy is required.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.exceptions import PersistenceError, StaleCursorError
-from repro.ttkv.journal import Event, EventJournal, JournalCursor
+import numpy as _np
 
-try:  # soft dependency: the list journal is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via tests' import guard
-    _np = None
-
-#: Backend names accepted by :func:`make_journal` and the pipeline layers.
-BACKEND_AUTO = "auto"
-BACKEND_COLUMNAR = "columnar"
-BACKEND_LIST = "list"
-BACKEND_NAMES = (BACKEND_AUTO, BACKEND_COLUMNAR, BACKEND_LIST)
+from repro.exceptions import PersistenceError
+from repro.ttkv.journal import Event, JournalCursor
 
 #: Events per sealed segment (see :meth:`ColumnarJournal.seal`).
 SEGMENT_SIZE = 4096
 
 #: On-disk format version written by :func:`save_columnar`.
 COLUMNAR_FORMAT_VERSION = 1
-
-
-def columnar_available() -> bool:
-    """True when numpy is importable and the columnar backend can be used."""
-    return _np is not None
-
-
-def resolve_backend(backend: str) -> str:
-    """Normalise a backend name to ``"columnar"`` or ``"list"``.
-
-    ``"auto"`` resolves to columnar when numpy is available and falls back
-    to the list journal silently otherwise; an explicit ``"columnar"``
-    without numpy raises, mirroring the kernel soft-dep contract.
-    """
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown journal backend {backend!r}; expected one of {BACKEND_NAMES}"
-        )
-    if backend == BACKEND_AUTO:
-        return BACKEND_COLUMNAR if columnar_available() else BACKEND_LIST
-    if backend == BACKEND_COLUMNAR and not columnar_available():
-        raise RuntimeError(
-            "journal backend 'columnar' requires numpy; install "
-            "repro-ocasta[fast] or use backend='auto'/'list'"
-        )
-    return backend
-
-
-def make_journal(
-    backend: str = BACKEND_AUTO, *, segment_size: int = SEGMENT_SIZE
-):
-    """Construct a journal for ``backend`` (see :func:`resolve_backend`)."""
-    if resolve_backend(backend) == BACKEND_COLUMNAR:
-        return ColumnarJournal(segment_size=segment_size)
-    return EventJournal()
-
-
-def journal_backend(journal: Any) -> str:
-    """The backend name of a live journal instance."""
-    return (
-        BACKEND_COLUMNAR if isinstance(journal, ColumnarJournal) else BACKEND_LIST
-    )
 
 
 def _event_dtype():
@@ -167,7 +100,7 @@ class _ValueTable:
     that happen to serialise (tuples never do here: the token includes the
     type name) keep their identity.  Objects JSON cannot serialise are
     stored uninterned (identity-keyed) and only fail at :func:`save_columnar`
-    time, matching where the list backend's JSON persistence fails.
+    time, matching where the list journal's JSON persistence fails.
     """
 
     __slots__ = ("_objects", "_tokens", "_ids", "_by_identity")
@@ -334,36 +267,6 @@ class ColumnarView(Sequence):
             out.extend(self._journal._decode_chunk(chunk))
         return out
 
-    def columnar_parts(self):
-        """``(times, key_ids, key_table)`` column arrays for bulk consumers.
-
-        ``times`` is a float64 array and ``key_ids`` an int array covering
-        the whole view (concatenated across chunks; single-chunk views pay
-        no copy), with ``key_table`` mapping ids to key strings.  Returns
-        ``None`` when numpy is unavailable (never, in practice: the view
-        exists only with numpy).
-        """
-        if _np is None:  # pragma: no cover - defensive
-            return None
-        times, kids = [], []
-        for chunk in self._chunks:
-            if isinstance(chunk, tuple):
-                times.append(_np.asarray(chunk[0], dtype=_np.float64))
-                kids.append(_np.asarray(chunk[1], dtype=_np.int64))
-            else:
-                times.append(chunk["t"])
-                kids.append(chunk["k"])
-        if not times:
-            empty = _np.empty(0, dtype=_np.float64)
-            return empty, _np.empty(0, dtype=_np.int64), self._journal._keys
-        if len(times) == 1:
-            return times[0], kids[0], self._journal._keys
-        return (
-            _np.concatenate(times),
-            _np.concatenate(kids),
-            self._journal._keys,
-        )
-
 
 def _chunk_len(chunk) -> int:
     return len(chunk[0]) if isinstance(chunk, tuple) else len(chunk)
@@ -376,11 +279,10 @@ def _chunk_slice(chunk, start: int, stop: int):
 
 
 class ColumnarJournal:
-    """Array-backed :class:`~repro.ttkv.journal.EventJournal` drop-in.
+    """Array-backed sorted event stream (see the module docstring).
 
-    Same API and observable behaviour (see the module docstring for the
-    storage model).  ``segment_size`` tunes the append-buffer seal
-    threshold; tests shrink it to force multi-segment layouts.
+    ``segment_size`` tunes the append-buffer seal threshold; tests shrink
+    it to force multi-segment layouts.
     """
 
     __slots__ = (
@@ -394,17 +296,11 @@ class ColumnarJournal:
         "_keys",
         "_values",
         "_insertions",
-        "_listeners",
         "_last_time",
         "_segment_size",
     )
 
     def __init__(self, *, segment_size: int = SEGMENT_SIZE) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "ColumnarJournal requires numpy; install repro-ocasta[fast] "
-                "or use the list-backed EventJournal"
-            )
         if segment_size < 1:
             raise ValueError(f"segment_size must be >= 1, got {segment_size}")
         self._segments: list = []  # sealed structured arrays (immutable)
@@ -417,15 +313,10 @@ class ColumnarJournal:
         self._keys = _KeyTable()
         self._values = _ValueTable()
         self._insertions: list[int] = []
-        self._listeners: list[Callable[[Event], None]] = []
         self._last_time: float | None = None
         self._segment_size = segment_size
 
     # -- appends -------------------------------------------------------------
-
-    def append(self, timestamp: float, key: str, value: Any) -> None:
-        """Record one modification."""
-        self.append_event((timestamp, key, value))
 
     def append_event(self, event: Event) -> None:
         """Record one modification given as an event tuple."""
@@ -441,8 +332,6 @@ class ColumnarJournal:
                 self.seal()
         else:
             self._insert(timestamp, kid, vid)
-        for listener in self._listeners:
-            listener(event)
 
     def _insert(self, timestamp: float, kid: int, vid: int) -> None:
         """Out-of-order append: bisect placement, same rule as the list journal."""
@@ -492,76 +381,11 @@ class ColumnarJournal:
         self._buf_k.clear()
         self._buf_v.clear()
 
-    # -- listeners -----------------------------------------------------------
-
-    def subscribe(self, listener: Callable[[Event], None]) -> None:
-        """Call ``listener(event)`` after every future append (arrival order)."""
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[Event], None]) -> None:
-        """Detach a listener registered with :meth:`subscribe`."""
-        self._listeners.remove(listener)
-
     # -- reads ---------------------------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """Total out-of-order insertions so far (0 for a purely ordered log)."""
-        return len(self._insertions)
-
-    @property
-    def segment_count(self) -> int:
-        """Sealed segments so far (excludes the append buffer)."""
-        return len(self._segments)
 
     def events(self) -> list[Event]:
         """The full sorted stream (a fresh list; safe for callers to mutate)."""
         return self._view(0, len(self)).materialize()
-
-    def events_from(self, position: int) -> ColumnarView:
-        """The sorted suffix starting at ``position`` as a zero-copy view."""
-        if position < 0:
-            raise ValueError(f"journal position must be >= 0, got {position}")
-        return self._view(position, len(self))
-
-    def reorder_depth(self, cursor: JournalCursor) -> int:
-        """How far into ``cursor``'s consumed prefix reorders have reached."""
-        start = cursor.position
-        for index in self._insertions[cursor.epoch:]:
-            if index < start:
-                start = index
-        return cursor.position - start
-
-    def event_at(self, index: int) -> Event:
-        """The event at one position of the sorted stream (O(log segments))."""
-        total = len(self)
-        if index < 0:
-            index += total
-        if not 0 <= index < total:
-            raise IndexError("journal index out of range")
-        if index >= self._sealed_len:
-            local = index - self._sealed_len
-            return (
-                self._buf_t[local],
-                self._keys.value(self._buf_k[local]),
-                self._values.value(self._buf_v[local]),
-            )
-        at = bisect.bisect_right(self._starts, index) - 1
-        return self._decode_row(self._segments[at][index - self._starts[at]])
-
-    def read(
-        self, cursor: JournalCursor | None = None
-    ) -> tuple[ColumnarView, JournalCursor]:
-        """Events appended since ``cursor`` plus the advanced cursor."""
-        if cursor is None:
-            start = 0
-        else:
-            for index in self._insertions[cursor.epoch:]:
-                if index < cursor.position:
-                    raise StaleCursorError(cursor.position)
-            start = cursor.position
-        total = len(self)
-        return self._view(start, total), JournalCursor(total, len(self._insertions))
 
     def read_flexible(
         self, cursor: JournalCursor | None = None
@@ -586,7 +410,7 @@ class ColumnarJournal:
     def __len__(self) -> int:
         return self._sealed_len + len(self._buf_t)
 
-    # -- decoding helpers (shared with ColumnarView) -------------------------
+    # -- decoding helpers (shared with ColumnarView) --------------------------
 
     def _decode_row(self, row) -> Event:
         return (
@@ -656,15 +480,11 @@ def save_columnar(journal, path: str) -> None:
 
     Writes the sealed column array to ``path`` (``.npy`` format) and the
     intern tables plus reorder history to ``path + ".meta"`` (JSON).
-    Accepts either backend: a list journal is converted on the way out, a
-    :class:`ColumnarJournal` is sealed and written directly.  Values must
+    A list :class:`~repro.ttkv.journal.EventJournal` is converted on the
+    way out; a :class:`ColumnarJournal` is sealed and written directly.  Values must
     be JSON-serialisable — the same contract
     :mod:`repro.ttkv.persistence` imposes.
     """
-    if _np is None:
-        raise RuntimeError(
-            "columnar persistence requires numpy; install repro-ocasta[fast]"
-        )
     if not isinstance(journal, ColumnarJournal):
         converted = ColumnarJournal()
         for event in journal.events():
@@ -699,14 +519,10 @@ def load_columnar(
     """Reopen a journal written by :func:`save_columnar`.
 
     With ``mmap=True`` (default) the event columns stay on disk and are
-    memory-mapped — resume touches only the pages a cursor seek needs,
-    instead of JSON-decoding every event.  The loaded array becomes one
-    sealed read-only segment; future appends buffer and seal as usual.
+    memory-mapped; ``mmap=False`` copies them into memory.  The loaded
+    array becomes one sealed read-only segment; future appends buffer and
+    seal as usual.
     """
-    if _np is None:
-        raise RuntimeError(
-            "columnar persistence requires numpy; install repro-ocasta[fast]"
-        )
     try:
         with open(path + ".meta", "r", encoding="utf-8") as handle:
             meta = json.load(handle)

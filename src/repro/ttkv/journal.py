@@ -109,9 +109,9 @@ class EventSliceView(Sequence):
     per update; copying the tail made every no-op update O(journal).  The
     view pins ``[start, stop)`` positions against the journal's *live*
     list at creation time, so it is free to create and compares equal to
-    the list it replaces.  Like its columnar counterpart it is a snapshot
-    only until the next out-of-order insertion at or below its range
-    (consumers materialise or consume a view within one update).
+    the list it replaces.  It is a snapshot only until the next
+    out-of-order insertion at or below its range (consumers materialise or
+    consume a view within one update).
     """
 
     __slots__ = ("_events", "_start", "_stop")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.ttkv.columnar import BACKEND_LIST, make_journal
 from repro.ttkv.journal import Event, EventJournal
 
 #: Shard id of the catch-all shard (routes keys matching no other prefix).
@@ -54,11 +53,6 @@ class ShardedJournal:
     key_filter:
         Optional global prefix filter applied *before* routing, mirroring
         the batch pipeline's ``key_filter`` parameter.
-    backend:
-        Journal backend for the per-shard journals (``"list"``,
-        ``"columnar"`` or ``"auto"`` — see
-        :func:`repro.ttkv.columnar.make_journal`).  The *source* journal's
-        backend is the caller's choice and is independent.
     """
 
     def __init__(
@@ -68,7 +62,6 @@ class ShardedJournal:
         *,
         catch_all: bool = True,
         key_filter: str | None = None,
-        backend: str = BACKEND_LIST,
     ) -> None:
         ordered = sorted(set(prefixes), key=lambda p: (-len(p), p))
         if CATCH_ALL in ordered:
@@ -82,10 +75,9 @@ class ShardedJournal:
         self._key_filter = key_filter
         self._route_order: tuple[str, ...] = tuple(ordered)
         self._catch_all = catch_all
-        self._backend = backend
-        self._shards = {prefix: make_journal(backend) for prefix in sorted(ordered)}
+        self._shards = {prefix: EventJournal() for prefix in sorted(ordered)}
         if catch_all:
-            self._shards[CATCH_ALL] = make_journal(backend)
+            self._shards[CATCH_ALL] = EventJournal()
         self._route_cache: dict[str, str | None] = {}
         self._attached = False
         for event in source.events():
@@ -145,12 +137,7 @@ class ShardedJournal:
     def key_filter(self) -> str | None:
         return self._key_filter
 
-    @property
-    def backend(self) -> str:
-        """The configured per-shard journal backend name."""
-        return self._backend
-
-    def shard(self, shard_id: str):
+    def shard(self, shard_id: str) -> EventJournal:
         """The journal of one shard (:data:`CATCH_ALL` for the catch-all)."""
         try:
             return self._shards[shard_id]

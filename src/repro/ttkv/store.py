@@ -167,11 +167,9 @@ class TTKV:
     (``value_at`` / ``versions_between``).
     """
 
-    def __init__(self, *, journal_backend: str = "list") -> None:
-        from repro.ttkv.columnar import make_journal  # local to avoid cycle
-
+    def __init__(self) -> None:
         self._records: dict[str, KeyRecord] = {}
-        self._journal = make_journal(journal_backend)
+        self._journal = EventJournal()
 
     # -- recording ---------------------------------------------------------
 

@@ -319,14 +319,26 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError):
             ShardedPipeline.from_state(TTKV(), {"version": 99})
 
-    def test_checkpoints_are_written_at_version_3(self):
+    def test_checkpoints_are_written_at_version_4(self):
         pipeline = ShardedPipeline(TTKV(), shard_prefixes=("a/",))
-        assert pipeline.to_state()["version"] == 3
+        assert pipeline.to_state()["version"] == STATE_VERSION == 4
         pipeline.close()
 
+    def test_v3_checkpoint_rejected(self):
+        # version 3 also recorded the shard-journal backend in its params
+        store = TTKV()
+        store.record_write("a/x", 1, 10.0)
+        pipeline = ShardedPipeline(store, shard_prefixes=("a/",))
+        pipeline.update()
+        state = json.loads(json.dumps(pipeline.to_state()))
+        pipeline.close()
+        state["version"] = 3
+        with pytest.raises(CheckpointError, match="unsupported .* version 3"):
+            ShardedPipeline.from_state(store, state)
+
     def test_legacy_v1_checkpoint_rejected(self):
-        # versions 1 and 2 (full group history, no compacted baseline or
-        # no journal backend) are no longer loaded
+        # versions 1 to 3 are no longer loaded (1 kept the full group
+        # history and no compacted baseline)
         store = TTKV()
         store.record_write("a/x", 1, 10.0)
         pipeline = ShardedPipeline(store, shard_prefixes=("a/",))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.fleet import FleetPipeline, FleetQueryServer
+from repro.fleet import FleetPipeline, FleetQueryServer, api
 from repro.ttkv.store import TTKV
 from repro.workload.machines import profile_by_name
 from repro.workload.tracegen import generate_trace
@@ -155,6 +155,63 @@ def test_non_get_methods_and_garbage_rejected():
     assert post.startswith(b"HTTP/1.1 405 ")
     assert garbage.startswith(b"HTTP/1.1 400 ")
     fleet.close()
+
+
+def _serve_one(raw_request):
+    """Send ``raw_request`` to a fresh server; the raw response bytes."""
+    fleet = FleetPipeline()
+
+    async def scenario():
+        async with FleetQueryServer(fleet) as server:
+            return await asyncio.wait_for(_request(*server.address, raw_request), 5)
+
+    try:
+        return asyncio.run(scenario())
+    finally:
+        fleet.close()
+
+
+def test_oversized_request_line_answered_400():
+    raw = _serve_one(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+    assert raw.startswith(b"HTTP/1.1 400 ")
+    assert b"longer than" in raw
+
+
+def test_too_many_headers_answered_400():
+    headers = b"".join(b"X-Filler-%d: 1\r\n" % i for i in range(500))
+    raw = _serve_one(b"GET /health HTTP/1.1\r\n" + headers + b"\r\n")
+    assert raw.startswith(b"HTTP/1.1 400 ")
+    assert b"header lines" in raw
+
+
+def test_silent_and_trickling_clients_answered_408(monkeypatch):
+    monkeypatch.setattr(api, "READ_TIMEOUT", 0.3, raising=False)
+    fleet = FleetPipeline()
+
+    async def trickle(host, port):
+        # one header every 50 ms, never the blank line that ends them
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"GET /health HTTP/1.1\r\n")
+        response = asyncio.ensure_future(reader.read())
+        count = 0
+        while not response.done():
+            writer.write(b"X-Trickle-%d: 1\r\n" % count)
+            count += 1
+            await asyncio.sleep(0.05)
+        writer.close()
+        return await response
+
+    async def scenario():
+        async with FleetQueryServer(fleet) as server:
+            host, port = server.address
+            return await asyncio.wait_for(
+                asyncio.gather(_request(host, port, b""), trickle(host, port)), 5
+            )
+
+    silent, trickled = asyncio.run(scenario())
+    fleet.close()
+    assert silent.startswith(b"HTTP/1.1 408 ")
+    assert trickled.startswith(b"HTTP/1.1 408 ")
 
 
 def test_query_string_is_ignored_and_address_requires_start():

@@ -184,7 +184,7 @@ class TestFleetRoundTrip:
         fleet = self._fleet(self.EVENTS)
         fleet.to_state_dir(tmp_path)
         fleet.close()
-        (tmp_path / "fleet.json").write_text('{"version": 2, "gene')
+        (tmp_path / "fleet.json").write_text('{"version": 3, "gene')
         store = TTKV()
         store.record_events(self.EVENTS)
         resumed = FleetPipeline.from_state_dir(tmp_path, {"m0": store})
@@ -208,7 +208,6 @@ class TestFleetRoundTrip:
                         "correlation_threshold": 2.0,
                         "linkage": "single",
                         "kernel": "auto",
-                        "journal_backend": "auto",
                         "max_lag": None,
                     },
                 }
@@ -217,6 +216,20 @@ class TestFleetRoundTrip:
         store = TTKV()
         store.record_events(self.EVENTS)
         with pytest.raises(CheckpointError, match="unsupported fleet state version 1"):
+            FleetPipeline.from_state_dir(tmp_path, {"m0": store})
+
+    def test_v2_manifest_rejected(self, tmp_path):
+        # version 2 also recorded the shard-journal backend in its params
+        fleet = self._fleet(self.EVENTS)
+        fleet.to_state_dir(tmp_path)
+        fleet.close()
+        manifest = json.loads((tmp_path / "fleet.json").read_text())
+        assert manifest["version"] == 3
+        manifest["version"] = 2
+        (tmp_path / "fleet.json").write_text(json.dumps(manifest))
+        store = TTKV()
+        store.record_events(self.EVENTS)
+        with pytest.raises(CheckpointError, match="unsupported fleet state version 2"):
             FleetPipeline.from_state_dir(tmp_path, {"m0": store})
 
     def test_unsupported_version_raises_checkpoint_error(self, tmp_path):

@@ -79,15 +79,6 @@ class TestStreamFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["stream", "--kernel", "fortran"])
 
-    def test_journal_parses_and_defaults_to_checkpoint_friendly_none(self):
-        assert build_parser().parse_args(["stream"]).journal is None
-        args = build_parser().parse_args(["stream", "--journal", "columnar"])
-        assert args.journal == "columnar"
-
-    def test_unknown_journal_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--journal", "redis"])
-
 
 class TestStreamCommand:
     ARGS = ["stream", "--shards", "2", "--days", "2", "--chunks", "3"]
@@ -112,30 +103,6 @@ class TestStreamCommand:
     def test_timings_flag_adds_ingest_line(self, capsys):
         lines = self._run(capsys, "--timings")
         assert any("ingest" in line and "append + routing" in line for line in lines)
-
-    def test_identical_output_across_journal_backends(self, capsys):
-        """Same clusters and progress whatever the journal backend."""
-        pytest.importorskip(
-            "numpy", reason="--journal columnar needs numpy", exc_type=ImportError
-        )
-        outputs = {
-            journal: self._run(capsys, "--journal", journal)
-            for journal in ("auto", "columnar", "list")
-        }
-        assert outputs["auto"] == outputs["columnar"] == outputs["list"]
-
-    def test_journal_resume_override(self, capsys, tmp_path):
-        """A checkpoint written by one backend resumes under another."""
-        pytest.importorskip(
-            "numpy", reason="--journal columnar needs numpy", exc_type=ImportError
-        )
-        state = tmp_path / "session.json"
-        self._run(capsys, "--journal", "columnar", "--state", str(state))
-        resumed = self._run(
-            capsys, "--journal", "list", "--state", str(state)
-        )
-        assert any("resumed session" in line for line in resumed)
-        assert any("0 new event(s) consumed" in line for line in resumed)
 
     def test_identical_output_across_kernels(self, capsys):
         """Same clusters and progress whatever the agglomeration kernel."""

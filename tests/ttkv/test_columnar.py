@@ -1,11 +1,11 @@
-"""Columnar journal ≡ list journal: backend parity and persistence.
+"""Columnar trace files: parity with the list journal and persistence.
 
-The contract under test: a :class:`ColumnarJournal` is observably identical
-to the pure-Python :class:`EventJournal` — same events, same cursors, same
-reorder accounting — for any append sequence, including out-of-order ones,
-at any segment size.  Persistence round-trips (mmap and copy modes)
-preserve that equality, and journal reads are zero-copy views over the
-sealed segments.
+The contract under test: the members of a :class:`ColumnarJournal` that the
+end-to-end benchmark's trace cache uses (``append_event``, ``events``,
+``read_flexible``) agree with the pure-Python :class:`EventJournal` for any
+append sequence, including out-of-order ones, at any segment size.
+Persistence round-trips (mmap and copy modes) preserve that equality, and
+reads are zero-copy views over the sealed segments.
 """
 
 from __future__ import annotations
@@ -15,24 +15,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import PersistenceError, StaleCursorError
-from repro.ttkv.columnar import (
-    BACKEND_AUTO,
-    BACKEND_COLUMNAR,
-    BACKEND_LIST,
-    ColumnarJournal,
-    ColumnarView,
-    columnar_available,
-    journal_backend,
-    load_columnar,
-    make_journal,
-    resolve_backend,
-    save_columnar,
-)
+from repro.exceptions import PersistenceError
 from repro.ttkv.journal import EventJournal, EventSliceView, JournalCursor
 from repro.ttkv.store import DELETED
 
 np = pytest.importorskip("numpy")
+
+from repro.ttkv.columnar import (
+    ColumnarJournal,
+    ColumnarView,
+    load_columnar,
+    save_columnar,
+)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -63,8 +57,8 @@ _segment_sizes = st.sampled_from([1, 2, 3, 7, 4096])
 
 
 def _fill(journal, events):
-    for timestamp, key, value in events:
-        journal.append(timestamp, key, value)
+    for event in events:
+        journal.append_event(event)
 
 
 def _paired(events, segment_size):
@@ -80,48 +74,25 @@ def _paired(events, segment_size):
 @given(_events, _segment_sizes)
 @settings(max_examples=80, deadline=None)
 def test_full_stream_parity(events, segment_size):
-    """events()/len/epoch/insertions match the list journal exactly."""
+    """events()/len/insertions match the list journal exactly."""
     columnar, reference = _paired(events, segment_size)
     assert columnar.events() == reference.events()
     assert len(columnar) == len(reference)
-    assert columnar.epoch == reference.epoch
     assert columnar._insertions == reference._insertions
-
-
-@given(_events, _segment_sizes, st.integers(min_value=0, max_value=45))
-@settings(max_examples=60, deadline=None)
-def test_suffix_and_point_reads_parity(events, segment_size, position):
-    columnar, reference = _paired(events, segment_size)
-    bound = min(position, len(reference))
-    assert columnar.events_from(bound) == reference.events_from(bound).materialize()
-    if bound < len(reference):
-        assert columnar.event_at(bound) == reference.event_at(bound)
-    if len(reference):
-        assert columnar.event_at(-1) == reference.event_at(-1)
 
 
 @given(_events, _segment_sizes, st.data())
 @settings(max_examples=60, deadline=None)
 def test_cursor_reads_parity(events, segment_size, data):
-    """read/read_flexible agree with the reference, cut at a random point."""
+    """read_flexible agrees with the reference, cut at a random point."""
     cut = data.draw(st.integers(min_value=0, max_value=len(events)))
     columnar, reference = _paired(events[:cut], segment_size)
-    view_c, cursor_c = columnar.read(None)
-    view_r, cursor_r = reference.read(None)
+    rew_c, view_c, cursor_c = columnar.read_flexible(None)
+    rew_r, view_r, cursor_r = reference.read_flexible(None)
+    assert (rew_c, cursor_c) == (rew_r, cursor_r)
     assert view_c == view_r.materialize()
-    assert cursor_c == cursor_r
     _fill(columnar, events[cut:])
     _fill(reference, events[cut:])
-    assert columnar.reorder_depth(cursor_c) == reference.reorder_depth(cursor_r)
-    try:
-        tail_r, next_r = reference.read(cursor_r)
-    except StaleCursorError:
-        with pytest.raises(StaleCursorError):
-            columnar.read(cursor_c)
-    else:
-        tail_c, next_c = columnar.read(cursor_c)
-        assert tail_c == tail_r.materialize()
-        assert next_c == next_r
     rew_c, flex_c, fc = columnar.read_flexible(cursor_c)
     rew_r, flex_r, fr = reference.read_flexible(cursor_r)
     assert (rew_c, fc) == (rew_r, fr)
@@ -132,7 +103,7 @@ def test_cursor_reads_parity(events, segment_size, data):
 @settings(max_examples=50, deadline=None)
 def test_view_slicing_parity(events, segment_size, start):
     columnar, reference = _paired(events, segment_size)
-    view = columnar.events_from(0)
+    _, view, _ = columnar.read_flexible(None)
     expected = reference.events()
     stop = min(start + 7, len(expected))
     begin = min(start, len(expected))
@@ -152,8 +123,8 @@ def test_save_load_round_trip(tmp_path_factory, events, segment_size, mmap):
     assert loaded.events() == reference.events()
     assert loaded._insertions == reference._insertions
     # the journal stays appendable after a resume
-    loaded.append(1e9, "app/a", 1)
-    reference.append(1e9, "app/a", 1)
+    loaded.append_event((1e9, "app/a", 1))
+    reference.append_event((1e9, "app/a", 1))
     assert loaded.events() == reference.events()
 
 
@@ -171,7 +142,7 @@ def test_save_converts_list_journal(tmp_path):
 def test_mmap_load_is_lazy(tmp_path):
     journal = ColumnarJournal()
     for t in range(100):
-        journal.append(float(t), f"k{t % 5}", t)
+        journal.append_event((float(t), f"k{t % 5}", t))
     path = str(tmp_path / "j.npy")
     save_columnar(journal, path)
     loaded = load_columnar(path, mmap=True)
@@ -182,7 +153,7 @@ def test_mmap_load_is_lazy(tmp_path):
 
 def test_corrupt_meta_rejected(tmp_path):
     journal = ColumnarJournal()
-    journal.append(1.0, "k", 1)
+    journal.append_event((1.0, "k", 1))
     path = str(tmp_path / "j.npy")
     save_columnar(journal, path)
     meta = json.loads((tmp_path / "j.npy.meta").read_text())
@@ -194,7 +165,7 @@ def test_corrupt_meta_rejected(tmp_path):
 
 def test_unserialisable_value_rejected_only_at_save(tmp_path):
     journal = ColumnarJournal()
-    journal.append(1.0, "k", object())  # in-memory: fine
+    journal.append_event((1.0, "k", object()))  # in-memory: fine
     assert journal.events()[0][2] is journal.events()[0][2]
     with pytest.raises(PersistenceError):
         save_columnar(journal, str(tmp_path / "j.npy"))
@@ -202,11 +173,11 @@ def test_unserialisable_value_rejected_only_at_save(tmp_path):
 
 # -- zero-copy ----------------------------------------------------------------
 
-def test_events_from_is_zero_copy_over_sealed_segments():
+def test_read_flexible_is_zero_copy_over_sealed_segments():
     journal = ColumnarJournal(segment_size=8)
     for t in range(32):
-        journal.append(float(t), "k", t)
-    view = journal.events_from(0)
+        journal.append_event((float(t), "k", t))
+    _, view, _ = journal.read_flexible(None)
     assert isinstance(view, ColumnarView)
     sealed = [c for c in view._chunks if not isinstance(c, tuple)]
     assert sealed, "expected sealed segment chunks in the view"
@@ -229,41 +200,15 @@ def test_list_backend_events_from_is_a_lazy_view():
 
 def test_views_are_not_hashable():
     journal = ColumnarJournal()
-    journal.append(1.0, "k", 1)
+    journal.append_event((1.0, "k", 1))
     with pytest.raises(TypeError):
-        hash(journal.events_from(0))
+        hash(journal.read_flexible(None)[1])
 
 
-# -- backend resolution -------------------------------------------------------
-
-def test_resolution_with_numpy_present():
-    assert columnar_available()
-    assert resolve_backend(BACKEND_AUTO) == BACKEND_COLUMNAR
-    assert isinstance(make_journal(BACKEND_COLUMNAR), ColumnarJournal)
-    assert isinstance(make_journal(BACKEND_LIST), EventJournal)
-    assert journal_backend(make_journal(BACKEND_AUTO)) == BACKEND_COLUMNAR
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        resolve_backend("redis")
-
-
-def test_no_numpy_fallback(monkeypatch):
-    import repro.ttkv.columnar as columnar_module
-
-    monkeypatch.setattr(columnar_module, "_np", None)
-    assert not columnar_available()
-    assert resolve_backend(BACKEND_AUTO) == BACKEND_LIST
-    assert isinstance(make_journal(BACKEND_AUTO), EventJournal)
-    with pytest.raises(RuntimeError):
-        resolve_backend(BACKEND_COLUMNAR)
-
-
-# -- cursor invariants shared by both backends --------------------------------
+# -- cursors ------------------------------------------------------------------
 
 def test_cursor_round_trips_through_state():
     journal = ColumnarJournal()
-    journal.append(1.0, "k", 1)
-    _, cursor = journal.read(None)
+    journal.append_event((1.0, "k", 1))
+    _, _, cursor = journal.read_flexible(None)
     assert JournalCursor.from_state(cursor.to_state()) == cursor

@@ -9,9 +9,8 @@ pin the whole reorder stack against it:
 - the flood itself is sound (a permutation plus duplicates, per-key
   monotone) — so every downstream guarantee is tested against a
   *legal* hostile stream, not one the TTKV would reject;
-- list and columnar journal backends land on identical clusters at
-  every prefix of the flood, and both equal the batch model over the
-  journal so far;
+- the streaming pipeline's clusters equal the batch model over the
+  journal so far at every prefix of the flood;
 - the engines' ``reorders_absorbed``/``rebuilt`` accounting stays
   *exact*: each update's stats are predicted beforehand from the
   journal's ``reorder_depth`` and the extractor's provisional state —
@@ -21,18 +20,14 @@ pin the whole reorder stack against it:
 import random
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
 from repro.scenarios.regimes import flooded_delivery, skew_timestamps
-from repro.ttkv.columnar import columnar_available
 from repro.ttkv.store import TTKV
 
 _KEYS = ("mail/a", "mail/b", "mail/c", "edit/x", "edit/y", "sys/z")
-
-BACKENDS = ("list", "columnar") if columnar_available() else ("list",)
 
 _streams = st.lists(
     st.tuples(
@@ -97,29 +92,22 @@ def test_flood_is_a_legal_per_key_monotone_shuffle(stream, params):
 
 @given(_streams, _flood_params, st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
-def test_backends_and_batch_agree_at_every_prefix(stream, params, chunks):
-    """list ≡ columnar ≡ batch clusters after every delivered chunk."""
+def test_pipeline_and_batch_agree_at_every_prefix(stream, params, chunks):
+    """streaming ≡ batch clusters after every delivered chunk."""
     delivered = _flood(_journal_order(stream), params)
     size = max(1, -(-len(delivered) // chunks))
-    pipelines = {}
-    for backend in BACKENDS:
-        store = TTKV(journal_backend=backend)
-        pipelines[backend] = (store, ShardedPipeline(store, journal_backend=backend))
+    store = TTKV()
+    pipeline = ShardedPipeline(store)
     try:
         for start in range(0, len(delivered), size):
             chunk = delivered[start : start + size]
-            models = {}
-            for backend, (store, pipeline) in pipelines.items():
-                store.record_events(chunk)
-                models[backend] = _key_sets(pipeline.update())
+            store.record_events(chunk)
+            model = _key_sets(pipeline.update())
             reference_store = TTKV()
             reference_store.record_events(delivered[: start + len(chunk)])
-            batch = _key_sets(cluster_settings(reference_store))
-            for backend, model in models.items():
-                assert model == batch, f"{backend} diverged from batch"
+            assert model == _key_sets(cluster_settings(reference_store))
     finally:
-        for _store, pipeline in pipelines.values():
-            pipeline.close()
+        pipeline.close()
 
 
 @given(_streams, _flood_params, st.integers(min_value=1, max_value=8))
@@ -193,8 +181,7 @@ def test_skew_preserves_order_and_clusters(stream, max_skew, seed):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_worked_flood_example_absorbs_and_rebuilds(backend):
+def test_worked_flood_example_absorbs_and_rebuilds():
     """A deterministic flood hits both the absorb and the rebuild paths."""
     rng = random.Random(20140623)
     # bursts of five 1s-apart events, 20s between bursts: with window 5
@@ -216,8 +203,8 @@ def test_worked_flood_example_absorbs_and_rebuilds(backend):
         max_displacement=10,
         rng=rng,
     )
-    store = TTKV(journal_backend=backend)
-    pipeline = ShardedPipeline(store, window=5.0, journal_backend=backend)
+    store = TTKV()
+    pipeline = ShardedPipeline(store, window=5.0)
     absorbed = rebuilds = 0
     try:
         for start in range(0, len(delivered), 7):

@@ -1,7 +1,6 @@
 """Tests for the time-travel key-value store."""
 
 
-import importlib.util
 import math
 
 import pytest
@@ -201,16 +200,15 @@ class TestTTKV:
         assert ttkv.estimated_size_bytes() > small + 900
 
 
-_JOURNALS = ["list", *(["columnar"] if importlib.util.find_spec("numpy") else [])]
 _BAD_TIMES = [math.nan, math.inf, -math.inf, "12", None]
 
 
 class TestEventValidation:
     """Malformed events are refused before anything is recorded."""
 
-    @pytest.fixture(params=_JOURNALS)
-    def store(self, request):
-        return TTKV(journal_backend=request.param)
+    @pytest.fixture
+    def store(self):
+        return TTKV()
 
     def test_nan_timestamp_write_is_rejected(self, store):
         # ``nan < t`` is false, so a NaN used to slip past the per-key
