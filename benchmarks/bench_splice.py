@@ -8,9 +8,9 @@ every update to that dirty component — but before spliced repair it still
 re-agglomerated the *whole* component per update, O(n²) in its size, so
 the hot component dominated incremental update cost.
 
-Two identical :class:`~repro.core.incremental.IncrementalPipeline`
-sessions consume the same warmed store, then the same appended tail in
-slices, timing each ``update()``:
+Two identical single-stream :class:`~repro.core.sharded.ShardedPipeline`
+sessions (one catch-all shard) consume the same warmed store, then the
+same appended tail in slices, timing each ``update()``:
 
 - **rebuild**: ``repair_mode="rebuild"`` — every dirty component is
   re-agglomerated from singletons (the pre-splice behaviour);
@@ -41,8 +41,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
+from repro.core.sharded import ShardedPipeline
+from repro.ttkv.sharding import CATCH_ALL
 from repro.ttkv.store import TTKV
 
 #: Trace-generation seed; recorded in the JSON so the CI regression gate
@@ -122,7 +123,7 @@ def run_benchmark(quick: bool = False) -> dict:
 
     stores = {mode: TTKV() for mode in ("rebuild", "splice")}
     pipelines = {
-        mode: IncrementalPipeline(store, repair_mode=mode)
+        mode: ShardedPipeline(store, repair_mode=mode)
         for mode, store in stores.items()
     }
     for mode, store in stores.items():
@@ -148,9 +149,9 @@ def run_benchmark(quick: bool = False) -> dict:
     batch = cluster_settings(stores["splice"])
     matches_batch = _key_sets(pipelines["splice"].cluster_set) == _key_sets(batch)
 
+    matrix = pipelines["splice"].matrix_for(CATCH_ALL)
     component_keys = max(
-        (len(c) for c in pipelines["splice"].matrix.connected_components()),
-        default=0,
+        (len(c) for c in matrix.connected_components()), default=0
     )
     events = len(warm) + sum(len(tail) for tail in tails)
     record = {

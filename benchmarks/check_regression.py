@@ -8,24 +8,20 @@ invariant is false, or when the run is not comparable to the baseline in
 the first place (different trace seed or event count — the gate only ever
 compares like with like).
 
-Headline metrics are deliberately *ratios* (incremental-vs-batch speedup,
-sharded-vs-global speedup, union-find-vs-scan speedup,
-splice-vs-rebuild repair speedup, numpy-kernel-vs-Python
-agglomeration speedup, fleet-merge-vs-serial-rebuild speedup): ratios
-measured within one run cancel out most
-of the machine-to-machine absolute-speed variance that makes wall-clock
-gates flaky on shared CI runners.
+Headline metrics of the four local microbenches are deliberately
+*ratios* (splice-vs-rebuild repair speedup, numpy-kernel-vs-Python
+agglomeration speedup, batch-vs-loop matrix ingest speedup, faulted-vs-
+clean drive overhead): ratios measured within one run cancel out most of
+the machine-to-machine absolute-speed variance that makes wall-clock
+gates flaky on shared CI runners.  Absolute end-to-end throughput and
+latency are measured by ``benchmarks/e2e/`` instead.
 
 Usage::
 
-    python benchmarks/bench_incremental.py --quick --out benchmarks/out/BENCH_incremental.json
-    python benchmarks/bench_sharded.py     --quick --out benchmarks/out/BENCH_sharded.json
-    python benchmarks/bench_splice.py      --quick --out benchmarks/out/BENCH_splice.json
-    python benchmarks/bench_kernel.py      --quick --out benchmarks/out/BENCH_kernel.json
-    python benchmarks/bench_ingest.py      --quick --out benchmarks/out/BENCH_ingest.json
-    python benchmarks/bench_fleet.py       --quick --out benchmarks/out/BENCH_fleet.json
-    python benchmarks/bench_adversarial.py --quick --out benchmarks/out/BENCH_adversarial.json
-    python benchmarks/bench_faults.py      --quick --out benchmarks/out/BENCH_faults.json
+    python benchmarks/bench_splice.py --quick --out benchmarks/out/BENCH_splice.json
+    python benchmarks/bench_kernel.py --quick --out benchmarks/out/BENCH_kernel.json
+    python benchmarks/bench_ingest.py --quick --out benchmarks/out/BENCH_ingest.json
+    python benchmarks/bench_faults.py --quick --out benchmarks/out/BENCH_faults.json
     python benchmarks/check_regression.py
 
 Refreshing a baseline (after a deliberate perf change) is the same run
@@ -48,16 +44,6 @@ from pathlib import Path
 #: ``identity``   — fields that must match the baseline exactly for the
 #:                  comparison to be meaningful (seeds, trace size).
 GATES: dict[str, dict] = {
-    "BENCH_incremental.json": {
-        "headline": [("speedup", "higher")],
-        "invariants": ["incremental_equals_batch"],
-        "identity": ["events", "seeds", "quick"],
-    },
-    "BENCH_sharded.json": {
-        "headline": [("speedup", "higher"), ("unionfind_speedup", "higher")],
-        "invariants": ["sharded_equals_batch", "components_agree"],
-        "identity": ["events", "seed", "quick"],
-    },
     "BENCH_splice.json": {
         "headline": [("splice_speedup", "higher")],
         "invariants": ["splice_equals_rebuild", "splice_equals_batch"],
@@ -77,11 +63,6 @@ GATES: dict[str, dict] = {
         "invariants": [],
         "identity": ["seed", "quick", "groups"],
     },
-    "BENCH_fleet.json": {
-        "headline": [("fleet_speedup", "higher")],
-        "invariants": ["fleet_equals_naive", "fleet_equals_batch"],
-        "identity": ["events", "seed", "machines", "quick"],
-    },
     "BENCH_faults.json": {
         "headline": [
             ("fault_overhead", "lower"),
@@ -98,17 +79,6 @@ GATES: dict[str, dict] = {
             "events", "seed", "fault_seed", "machines", "quick",
             "faults_injected",
         ],
-    },
-    "BENCH_adversarial.json": {
-        "headline": [("merge_speedup", "higher")],
-        "invariants": [
-            "flash_crowd_equal_to_batch",
-            "churn_storm_equal_to_batch",
-            "clock_skew_equal_to_batch",
-            "heterogeneous_equal_to_batch",
-            "clock_skew_flood_exercised",
-        ],
-        "identity": ["events", "seeds", "machines", "quick"],
     },
 }
 

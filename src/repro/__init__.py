@@ -62,11 +62,10 @@ default thread pool.
 >>> list(resumed.last_stats.shard_timings), resumed.last_stats.slowest_shard
 (['editor/'], 'editor/')
 
-Single-application stores can stay on the unsharded
-:class:`IncrementalPipeline` (a sharded session with one catch-all shard),
-and one-shot batch clustering over a recorded trace gives identical
-results per prefix — the equivalence is property-tested for arbitrary
-stream prefixes:
+Single-application stores need no prefixes: ``ShardedPipeline(store)``
+is one session with a single catch-all shard.  One-shot batch clustering
+over a recorded trace gives identical results per prefix — the
+equivalence is property-tested for arbitrary stream prefixes:
 
 >>> from repro import cluster_settings
 >>> [c.sorted_keys() for c in cluster_settings(ttkv, key_filter="mail/")]
@@ -84,10 +83,8 @@ from repro.ttkv import (
 )
 from repro.core import (
     Cluster,
-    ClusterSession,
     ClusterSet,
     ClusterVersion,
-    IncrementalPipeline,
     RepairEngine,
     SearchStrategy,
     ShardEngine,
@@ -112,10 +109,8 @@ __all__ = [
     "RollbackPlan",
     "SnapshotView",
     "Cluster",
-    "ClusterSession",
     "ClusterSet",
     "ClusterVersion",
-    "IncrementalPipeline",
     "RepairEngine",
     "SearchStrategy",
     "ShardEngine",

@@ -49,8 +49,7 @@ from repro.core.cluster_model import (
     cluster_versions,
 )
 from repro.core.pipeline import cluster_settings, singleton_clusters
-from repro.core.incremental import ClusterSession, IncrementalPipeline, UpdateStats
-from repro.core.sharded import ShardEngine, ShardedPipeline
+from repro.core.sharded import ShardEngine, ShardedPipeline, UpdateStats
 from repro.core.sorting import sort_clusters_for_search
 from repro.core.search import Candidate, SearchStrategy, search_order
 from repro.core.accuracy import (
@@ -88,8 +87,6 @@ __all__ = [
     "KERNEL_PYTHON",
     "check_kernel",
     "numpy_available",
-    "ClusterSession",
-    "IncrementalPipeline",
     "UpdateStats",
     "ShardEngine",
     "ShardedPipeline",

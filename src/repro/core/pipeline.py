@@ -8,8 +8,8 @@ This is the one-shot entry point for the paper's contribution::
                                 correlation_threshold=1.0)  # error #2
 
 For clustering that runs continuously alongside logging, use
-:class:`repro.core.incremental.IncrementalPipeline`, which produces
-identical clusters while consuming only newly appended events per update;
+:class:`repro.core.sharded.ShardedPipeline`, which produces identical
+clusters while consuming only newly appended events per update;
 this batch function is kept as the independent reference implementation the
 incremental path is property-tested against.
 """

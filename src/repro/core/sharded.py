@@ -24,14 +24,26 @@ write anything.  The sharded architecture splits the stream instead:
 Each shard's clusters are exactly what the batch
 :func:`~repro.core.pipeline.cluster_settings` produces with
 ``key_filter=prefix`` — filter-then-extract, so a write group never spans
-applications.  The unsharded :class:`~repro.core.incremental.
-IncrementalPipeline` is the degenerate case of one catch-all shard.
+applications.  With no ``shard_prefixes`` the session is one catch-all
+shard: a single live stream over the whole store.
+
+Example — one stream, updated as events arrive::
+
+    >>> from repro.ttkv.store import TTKV
+    >>> from repro.core.sharded import ShardedPipeline
+    >>> store = TTKV()
+    >>> live = ShardedPipeline(store)
+    >>> store.record_write("app/feature_on", True, 10.0)
+    >>> store.record_write("app/feature_level", 3, 10.0)
+    >>> [c.sorted_keys() for c in live.update()]
+    [['app/feature_level', 'app/feature_on']]
+    >>> store.record_write("app/theme", "dark", 500.0)
+    >>> [c.sorted_keys() for c in live.update()]
+    [['app/feature_level', 'app/feature_on'], ['app/theme']]
 
 Example — two applications, updated and checkpointed::
 
     >>> import json
-    >>> from repro.ttkv.store import TTKV
-    >>> from repro.core.sharded import ShardedPipeline
     >>> store = TTKV()
     >>> pipeline = ShardedPipeline(store, shard_prefixes=("mail/", "editor/"))
     >>> store.record_write("mail/signature", "plain", 10.0)

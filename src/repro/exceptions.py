@@ -36,7 +36,9 @@ class InvalidEventError(StoreError, ValueError):
     """A modification event has a non-``str`` key or a non-finite timestamp.
 
     Raised by :class:`~repro.ttkv.store.TTKV` before the key's record or
-    the journal is touched, so a rejected event leaves no trace.  A NaN
+    the journal is touched, and by every
+    :meth:`~repro.ttkv.journal.EventJournal.append_event` before the
+    journal changes, so a rejected event leaves no trace.  A NaN
     timestamp would otherwise slip past every per-key time-order guard
     (``nan < t`` is false) and poison the write-group windows.
     Subclasses :class:`ValueError` like the other input-validation errors.

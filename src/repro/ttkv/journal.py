@@ -39,13 +39,29 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any, Callable, Sequence
 
-from repro.exceptions import StaleCursorError
+from repro.exceptions import InvalidEventError, StaleCursorError
 
 #: One journal event: ``(timestamp, key, value)`` — value is the DELETED
 #: sentinel for deletions, mirroring :meth:`TTKV.write_events`.
 Event = tuple[float, str, Any]
+
+
+def check_event(key: object, timestamp: object) -> None:
+    """Raise :class:`~repro.exceptions.InvalidEventError` for a bad event.
+
+    A modification needs a ``str`` key and a finite timestamp.  A NaN
+    compares false against everything, so it would be filed as an
+    in-order append and break the journal's sort for every later event.
+    """
+    try:
+        valid = isinstance(key, str) and isfinite(timestamp)
+    except TypeError:  # not a real number at all
+        valid = False
+    if not valid:
+        raise InvalidEventError(key, timestamp)
 
 
 @dataclass(frozen=True)
@@ -198,9 +214,11 @@ class EventJournal:
 
         Equivalent to :meth:`append` but reuses the caller's tuple, so a
         routing layer fanning one journal out into several does not copy
-        every event.
+        every event.  An invalid event (see :func:`check_event`) raises
+        before the journal changes.
         """
         timestamp = event[0]
+        check_event(event[1], timestamp)
         if not self._times or timestamp >= self._times[-1]:
             self._times.append(timestamp)
             self._events.append(event)

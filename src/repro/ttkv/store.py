@@ -15,12 +15,11 @@ how loggers feed events (a real deployment's clock never runs backwards).
 from __future__ import annotations
 
 import bisect
-from math import isfinite
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.exceptions import InvalidEventError, KeyNotTrackedError, NoValueError
-from repro.ttkv.journal import EventJournal
+from repro.exceptions import KeyNotTrackedError, NoValueError
+from repro.ttkv.journal import EventJournal, check_event
 
 
 class _Sentinel:
@@ -174,22 +173,12 @@ class TTKV:
     # -- recording ---------------------------------------------------------
 
     def record_write(self, key: str, value: Any, timestamp: float) -> None:
-        try:
-            valid = isinstance(key, str) and isfinite(timestamp)
-        except TypeError:  # not a real number at all
-            valid = False
-        if not valid:
-            raise InvalidEventError(key, timestamp)
+        check_event(key, timestamp)
         self._record(key).record_write(value, timestamp)
         self._journal.append(timestamp, key, value)
 
     def record_delete(self, key: str, timestamp: float) -> None:
-        try:
-            valid = isinstance(key, str) and isfinite(timestamp)
-        except TypeError:  # not a real number at all
-            valid = False
-        if not valid:
-            raise InvalidEventError(key, timestamp)
+        check_event(key, timestamp)
         self._record(key).record_delete(timestamp)
         self._journal.append(timestamp, key, DELETED)
 

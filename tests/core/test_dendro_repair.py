@@ -43,7 +43,6 @@ from repro.core.dendro_repair import (
     surviving_clusters,
 )
 from repro.core.hac_kernel import numpy_available
-from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
 from repro.ttkv.sharding import CATCH_ALL
@@ -69,8 +68,8 @@ def assert_splice_equivalence(events, rng, cuts=4, **params):
     """
     stream = _sorted_stream(events)
     live = TTKV()
-    spliced = IncrementalPipeline(live, repair_mode=REPAIR_SPLICE, **params)
-    wholesale = IncrementalPipeline(live, repair_mode=REPAIR_REBUILD, **params)
+    spliced = ShardedPipeline(live, repair_mode=REPAIR_SPLICE, **params)
+    wholesale = ShardedPipeline(live, repair_mode=REPAIR_REBUILD, **params)
     positions = sorted(rng.sample(range(len(stream) + 1), min(cuts, len(stream) + 1)))
     if len(stream) not in positions:
         positions.append(len(stream))
@@ -431,7 +430,7 @@ def _hot_component_store(groups: int = 50, keys: int = 30) -> TTKV:
 class TestEngineRepair:
     def test_splice_reuses_merges_on_hot_component(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         store.record_write("app/k00", "new", 50 * 100.0 + 1500)
         store.record_write("app/k01", "new", 50 * 100.0 + 1500)
@@ -442,7 +441,7 @@ class TestEngineRepair:
 
     def test_rebuild_mode_never_reuses(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store, repair_mode=REPAIR_REBUILD)
+        pipeline = ShardedPipeline(store, repair_mode=REPAIR_REBUILD)
         pipeline.update()
         store.record_write("app/k00", "new", 50 * 100.0 + 1500)
         pipeline.update()
@@ -452,13 +451,13 @@ class TestEngineRepair:
     def test_repair_mode_is_validated(self):
         store = TTKV()
         with pytest.raises(ValueError, match="unknown repair mode"):
-            IncrementalPipeline(store, repair_mode="magic")
+            ShardedPipeline(store, repair_mode="magic")
 
     def test_retuned_repair_mode_applies_in_place(self):
         # unlike the clustering parameters, the repair mode never changes
         # results, so flipping it must NOT restart the session
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         before = _key_sets(pipeline.update())
         pipeline.repair_mode = REPAIR_REBUILD
         store.record_write("app/k00", "new", 50 * 100.0 + 1500)
@@ -484,7 +483,7 @@ class TestEngineRepair:
         store.record_write("a", 1, 100.0)
         store.record_write("b", 1, 100.0)
         store.record_write("c", 1, 900.0)
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         store.record_write("early", 1, 5.0)  # beyond the reorder buffer
         result = pipeline.update()
@@ -521,7 +520,7 @@ class TestEngineRepair:
 
     def test_checkpoint_round_trip_preserves_the_dendrogram_cache(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         blob = json.dumps(pipeline.to_state())
         resumed = ShardedPipeline.from_state(store, json.loads(blob))
@@ -535,7 +534,7 @@ class TestEngineRepair:
         # checkpoints written before the dendrogram cache existed load
         # fine; the first update just re-agglomerates
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         state = pipeline.to_state()
         for shard_state in state["shards"].values():
@@ -546,7 +545,7 @@ class TestEngineRepair:
 
     def test_checkpoint_rejects_foreign_dendrogram_keys(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         state = pipeline.to_state()
         for shard_state in state["shards"].values():
@@ -558,7 +557,7 @@ class TestEngineRepair:
 
     def test_repair_mode_survives_the_checkpoint(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store, repair_mode=REPAIR_REBUILD)
+        pipeline = ShardedPipeline(store, repair_mode=REPAIR_REBUILD)
         pipeline.update()
         resumed = ShardedPipeline.from_state(store, pipeline.to_state())
         assert resumed.repair_mode == REPAIR_REBUILD
@@ -567,7 +566,7 @@ class TestEngineRepair:
         # repair_mode is runtime configuration: a resume may override
         # the checkpointed mode without changing results
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store)  # splice-mode checkpoint
+        pipeline = ShardedPipeline(store)  # splice-mode checkpoint
         pipeline.update()
         resumed = ShardedPipeline.from_state(
             store, pipeline.to_state(), repair_mode=REPAIR_REBUILD
@@ -582,7 +581,7 @@ class TestEngineRepair:
         # rebuild-mode checkpoints stay exactly as small as pre-splice
         # ones, and merges_reused stays 0 even across a restore
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store, repair_mode=REPAIR_REBUILD)
+        pipeline = ShardedPipeline(store, repair_mode=REPAIR_REBUILD)
         pipeline.update()
         state = pipeline.to_state()
         for shard_state in state["shards"].values():

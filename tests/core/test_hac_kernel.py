@@ -57,8 +57,8 @@ from repro.core.hac_kernel import (
     numpy_available,
     resolve_kernel,
 )
-from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
+from repro.core.sharded import ShardedPipeline
 from repro.exceptions import CorruptCheckpointError
 from repro.ttkv.store import DELETED, TTKV
 from repro.workload.machines import PROFILES
@@ -198,8 +198,8 @@ def assert_kernel_equivalence(events, rng, cuts=4, **params):
     """Feed identical chunks to a numpy- and a Python-kernel pipeline."""
     stream = _sorted_stream(events)
     live = TTKV()
-    fast = IncrementalPipeline(live, kernel=KERNEL_NUMPY, **params)
-    reference = IncrementalPipeline(live, kernel=KERNEL_PYTHON, **params)
+    fast = ShardedPipeline(live, kernel=KERNEL_NUMPY, **params)
+    reference = ShardedPipeline(live, kernel=KERNEL_PYTHON, **params)
     positions = sorted(rng.sample(range(len(stream) + 1), min(cuts, len(stream) + 1)))
     if len(stream) not in positions:
         positions.append(len(stream))
@@ -519,7 +519,7 @@ def _hot_component_store(groups: int = 60, keys: int = 60) -> TTKV:
 class TestEngineKernelDispatch:
     def test_kernel_counters_surface_in_update_stats(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store, kernel=KERNEL_NUMPY)
+        pipeline = ShardedPipeline(store, kernel=KERNEL_NUMPY)
         pipeline.update()
         stats = pipeline.last_stats
         assert stats.kernel_used
@@ -527,7 +527,7 @@ class TestEngineKernelDispatch:
 
     def test_python_kernel_reports_no_kernel_components(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store, kernel=KERNEL_PYTHON)
+        pipeline = ShardedPipeline(store, kernel=KERNEL_PYTHON)
         pipeline.update()
         assert not pipeline.last_stats.kernel_used
         assert pipeline.last_stats.kernel_components == 0
@@ -536,13 +536,13 @@ class TestEngineKernelDispatch:
         store = TTKV()
         store.record_write("a", 1, 10.0)
         store.record_write("b", 1, 10.0)
-        pipeline = IncrementalPipeline(store)  # kernel="auto"
+        pipeline = ShardedPipeline(store)  # kernel="auto"
         pipeline.update()
         assert not pipeline.last_stats.kernel_used
 
     def test_retuned_kernel_applies_in_place(self):
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store, kernel=KERNEL_PYTHON)
+        pipeline = ShardedPipeline(store, kernel=KERNEL_PYTHON)
         before = _key_sets(pipeline.update())
         pipeline.kernel = KERNEL_NUMPY
         store.record_write("app/k00", "new", 60 * 100.0 + 1500)
@@ -556,7 +556,7 @@ class TestEngineKernelDispatch:
         from repro.core.sharded import ShardedPipeline
 
         store = _hot_component_store()
-        pipeline = IncrementalPipeline(store, kernel=KERNEL_NUMPY)
+        pipeline = ShardedPipeline(store, kernel=KERNEL_NUMPY)
         pipeline.update()
         state = pipeline.to_state()
         assert state["params"]["kernel"] == KERNEL_NUMPY
@@ -572,7 +572,7 @@ class TestEngineKernelDispatch:
     def test_invalid_kernel_is_rejected(self):
         store = TTKV()
         with pytest.raises(ValueError, match="unknown kernel"):
-            IncrementalPipeline(store, kernel="magic")
+            ShardedPipeline(store, kernel="magic")
 
 
 # -- the no-numpy fallback ----------------------------------------------------
@@ -594,11 +594,11 @@ class TestNumpyAbsent:
             check_kernel(KERNEL_NUMPY)
         store = TTKV()
         with pytest.raises(RuntimeError, match="numpy is not installed"):
-            IncrementalPipeline(store, kernel=KERNEL_NUMPY)
+            ShardedPipeline(store, kernel=KERNEL_NUMPY)
 
     def test_auto_pipeline_still_clusters(self, no_numpy):
         store = _hot_component_store(groups=20, keys=20)
-        pipeline = IncrementalPipeline(store)  # kernel="auto"
+        pipeline = ShardedPipeline(store)  # kernel="auto"
         clusters = pipeline.update()
         assert _key_sets(clusters) == _key_sets(cluster_settings(store))
         assert not pipeline.last_stats.kernel_used

@@ -1,7 +1,8 @@
 """Incremental ≡ batch: property tests for the streaming clustering pipeline.
 
-The contract under test: for **any** prefix of a modification stream, an
-:class:`IncrementalPipeline` that consumed the prefix through journal
+The contract under test: for **any** prefix of a modification stream, a
+single-stream :class:`~repro.core.sharded.ShardedPipeline` (no shard
+prefixes: one catch-all shard) that consumed the prefix through journal
 cursors produces exactly the clusters the batch
 :func:`~repro.core.pipeline.cluster_settings` computes from scratch over the
 same store — same key sets, same order, same parameters.  The acceptance
@@ -17,8 +18,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
+from repro.core.sharded import ShardedPipeline
+from repro.ttkv.sharding import CATCH_ALL
 from repro.ttkv.store import DELETED, TTKV
 from repro.workload.machines import PROFILES
 from repro.workload.tracegen import generate_trace
@@ -37,7 +39,7 @@ def assert_stream_equivalence(events, rng, cuts=4, **params):
     """Feed ``events`` in random chunks; compare to batch at every cut."""
     stream = _sorted_stream(events)
     live = TTKV()
-    pipeline = IncrementalPipeline(live, **params)
+    pipeline = ShardedPipeline(live, **params)
     positions = sorted(rng.sample(range(len(stream) + 1), min(cuts, len(stream) + 1)))
     if len(stream) not in positions:
         positions.append(len(stream))
@@ -156,7 +158,7 @@ def test_equivalence_on_generated_profile_traces(profile):
 class TestIncrementalBehaviour:
     def test_component_reuse_reported(self):
         store = TTKV()
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         for t in (10.0, 200.0):
             store.record_write("a", t, t)
             store.record_write("b", t, t)
@@ -172,7 +174,7 @@ class TestIncrementalBehaviour:
     def test_no_new_events_is_a_no_op(self):
         store = TTKV()
         store.record_write("a", 1, 1.0)
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         first = pipeline.update()
         second = pipeline.update()
         assert second is first
@@ -186,7 +188,7 @@ class TestIncrementalBehaviour:
         store = TTKV()
         store.record_write("a", 1, 10.0)
         store.record_write("b", 1, 10.0)
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         store.record_write("b", 2, 20.0)
         pipeline.update()
@@ -199,7 +201,7 @@ class TestIncrementalBehaviour:
         store = TTKV()
         store.record_write("a", 1, 100.0)
         store.record_write("b", 1, 100.0)
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         # the reordered suffix is still inside the provisional trailing
         # write group: the engine rewinds and re-feeds instead of
@@ -215,7 +217,7 @@ class TestIncrementalBehaviour:
         store.record_write("a", 1, 100.0)
         store.record_write("b", 1, 100.0)
         store.record_write("c", 1, 900.0)  # closes the {a, b} group
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         # the insertion lands before the already-closed {a, b} group —
         # beyond the reorder buffer, so the session must rebuild
@@ -233,7 +235,7 @@ class TestIncrementalBehaviour:
         store = TTKV()
         store.record_write("a", 1, 10.0)
         store.record_write("b", 1, 100.0)
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         store.record_write("race", 1, 10.0)  # joins the closed {a} group
         incremental = pipeline.update()
@@ -247,7 +249,7 @@ class TestIncrementalBehaviour:
         store = TTKV()
         store.record_write("a", 1, 100.0)
         store.record_write("b", 1, 100.0)
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         store.record_write("mid", 1, 99.0)  # same window as the tail
         incremental = pipeline.update()
@@ -257,7 +259,7 @@ class TestIncrementalBehaviour:
 
     def test_key_filter_equivalence(self):
         store = TTKV()
-        pipeline = IncrementalPipeline(store, key_filter="app/")
+        pipeline = ShardedPipeline(store, key_filter="app/")
         for t in (10.0, 20.0, 400.0):
             store.record_write("app/a", t, t)
             store.record_write("app/b", t, t)
@@ -268,14 +270,14 @@ class TestIncrementalBehaviour:
         assert all(key.startswith("app/") for keys in _key_sets(incremental) for key in keys)
 
     def test_matrix_property_is_a_read_only_snapshot(self):
-        # regression: .matrix used to leak the live mutable matrix, so a
-        # caller could silently corrupt the incremental state
+        # regression: the matrix accessor used to leak the live mutable
+        # matrix, so a caller could silently corrupt the incremental state
         store = TTKV()
         store.record_write("a", 1, 1.0)
         store.record_write("b", 1, 1.0)
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         pipeline.update()
-        view = pipeline.matrix
+        view = pipeline.matrix_for(CATCH_ALL)
         assert view.correlation_of("a", "b") == 2.0
         assert sorted(view.keys) == ["a", "b"]
         with pytest.raises(TypeError):
@@ -287,7 +289,7 @@ class TestIncrementalBehaviour:
 
     def test_cluster_set_property_tracks_latest(self):
         store = TTKV()
-        pipeline = IncrementalPipeline(store)
+        pipeline = ShardedPipeline(store)
         assert pipeline.cluster_set is None
         store.record_write("a", 1, 1.0)
         result = pipeline.update()
@@ -300,7 +302,7 @@ class TestIncrementalBehaviour:
             (0.0, "a", 1), (0.0, "b", 1), (100.0, "a", 2),
             (200.0, "c", 1), (200.0, "d", 1), (300.0, "c", 2),
         ])
-        pipeline = IncrementalPipeline(store)  # threshold 2.0
+        pipeline = ShardedPipeline(store)  # threshold 2.0
         pipeline.update()
         pipeline.correlation_threshold = 0.5
         # dirty only one component; the cached other must still be re-cut
@@ -314,10 +316,10 @@ class TestIncrementalBehaviour:
     def test_invalid_parameters_rejected(self):
         store = TTKV()
         with pytest.raises(ValueError):
-            IncrementalPipeline(store, correlation_threshold=0.0)
+            ShardedPipeline(store, correlation_threshold=0.0)
         with pytest.raises(ValueError):
-            IncrementalPipeline(store, linkage="ward")
+            ShardedPipeline(store, linkage="ward")
         with pytest.raises(ValueError):
-            IncrementalPipeline(store, window=-1.0)
+            ShardedPipeline(store, window=-1.0)
         with pytest.raises(ValueError):
-            IncrementalPipeline(store, grouping="hourly")
+            ShardedPipeline(store, grouping="hourly")

@@ -19,7 +19,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.incremental import IncrementalPipeline
 from repro.core.ordering import SortedKeySets, diff_sorted, order_key
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
@@ -147,7 +146,7 @@ def test_incremental_order_equals_rebuilt_order(events, rng):
 def test_merged_cluster_set_still_equals_batch(events, rng):
     stream = _sorted_stream(events)
     live = TTKV()
-    pipeline = IncrementalPipeline(live)
+    pipeline = ShardedPipeline(live)
     positions = sorted(rng.sample(range(len(stream) + 1), min(4, len(stream) + 1)))
     if len(stream) not in positions:
         positions.append(len(stream))

@@ -4,8 +4,8 @@ The contracts under test:
 
 - for every shard prefix, the :class:`ShardedPipeline`'s per-shard
   clusters equal both the batch ``cluster_settings(store,
-  key_filter=prefix)`` reference and an unsharded
-  :class:`IncrementalPipeline` with the same ``key_filter`` — for **any**
+  key_filter=prefix)`` reference and an unsharded (one catch-all shard)
+  :class:`ShardedPipeline` with the same ``key_filter`` — for **any**
   prefix of a multi-application stream, including same-tick writes that
   straddle prefixes;
 - the merged cluster set is exactly the per-shard sets re-sorted;
@@ -23,7 +23,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import STATE_VERSION, ShardedPipeline
 from repro.exceptions import CheckpointError, CorruptCheckpointError
@@ -84,7 +83,7 @@ def test_sharded_equals_unsharded_equals_batch(events, rng):
     live = TTKV()
     sharded = ShardedPipeline(live, shard_prefixes=PREFIXES)
     unsharded = {
-        prefix: IncrementalPipeline(live, key_filter=prefix)
+        prefix: ShardedPipeline(live, key_filter=prefix)
         for prefix in PREFIXES
     }
     positions = sorted(rng.sample(range(len(stream) + 1), min(4, len(stream) + 1)))

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.fleet import FleetPipeline, concatenated_batch_clusters
+from repro.fleet import (
+    FleetCorrelationMerge,
+    FleetPipeline,
+    concatenated_batch_clusters,
+)
 from repro.ttkv.store import TTKV
 from repro.workload.machines import PROFILES, profile_by_name
 from repro.workload.tracegen import generate_trace
@@ -65,7 +69,20 @@ def test_drive_equals_concatenated_batch(machine_streams, chunks):
         machine_id: _chunked(events, chunks)
         for machine_id, events in machine_events.items()
     }
-    _drive(fleet, feeds)
+
+    checked = []
+
+    def from_scratch_merge(report):
+        # the incremental merge must equal a fresh merge of every
+        # attached machine's current evidence after every round
+        fresh = FleetCorrelationMerge()
+        for machine_id in fleet.machine_ids:
+            fresh.ingest(machine_id, *fleet.machine(machine_id).pairwise_counts())
+        assert _cluster_sets(report.clusters) == _cluster_sets(fresh.clusters())
+        checked.append(report.index)
+
+    rounds = _drive(fleet, feeds, on_round=from_scratch_merge)
+    assert checked == [report.index for report in rounds]
     assert _cluster_sets(fleet.clusters()) == _reference(machine_events)
     fleet.close()
 

@@ -11,7 +11,6 @@ import repro.common.format
 import repro.core.clustering
 import repro.core.dendro_repair
 import repro.core.dendrogram
-import repro.core.incremental
 import repro.core.sharded
 import repro.stores.parsers
 import repro.stores.parsers.common
@@ -25,7 +24,6 @@ _MODULES = [
     repro.core.clustering,
     repro.core.dendro_repair,
     repro.core.dendrogram,
-    repro.core.incremental,
     repro.core.sharded,
     repro.stores.parsers,
     repro.stores.parsers.common,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import StaleCursorError
+from repro.exceptions import InvalidEventError, StaleCursorError
 from repro.ttkv.journal import EventJournal, JournalCursor
 from repro.ttkv.store import DELETED, TTKV
 
@@ -147,6 +147,32 @@ class TestEventJournal:
         events = journal.events()
         events.clear()
         assert journal.events() == [(1.0, "a", 1)]
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            (float("nan"), "b", 2),
+            (float("inf"), "b", 2),
+            (float("-inf"), "b", 2),
+            ("soon", "b", 2),
+            (2.0, 7, 2),
+        ],
+        ids=["nan", "inf", "-inf", "non-number", "non-str-key"],
+    )
+    def test_invalid_event_rejected_before_any_change(self, event):
+        # regression: a NaN after 1.0 was filed as an in-order append, so
+        # a later 0.5 landed after it and the sort invariant broke silently
+        journal = EventJournal()
+        journal.append_event((1.0, "a", 1))
+        seen = []
+        journal.subscribe(seen.append)
+        with pytest.raises(InvalidEventError):
+            journal.append_event(event)
+        assert journal.events() == [(1.0, "a", 1)]
+        assert journal.epoch == 0
+        assert seen == []
+        journal.append_event((0.5, "c", 3))
+        assert journal.events() == [(0.5, "c", 3), (1.0, "a", 1)]
 
 
 class TestTTKVJournalIntegration:
