@@ -8,17 +8,15 @@ invariant is false, or when the run is not comparable to the baseline in
 the first place (different trace seed or event count — the gate only ever
 compares like with like).
 
-Headline metrics of the four local microbenches are deliberately
-*ratios* (splice-vs-rebuild repair speedup, numpy-kernel-vs-Python
-agglomeration speedup, batch-vs-loop matrix ingest speedup, faulted-vs-
-clean drive overhead): ratios measured within one run cancel out most of
+Headline metrics of the three local microbenches are deliberately
+*ratios* (numpy-kernel-vs-Python agglomeration speedup, batch-vs-loop
+matrix ingest speedup, faulted-vs-clean drive overhead): ratios measured within one run cancel out most of
 the machine-to-machine absolute-speed variance that makes wall-clock
 gates flaky on shared CI runners.  Absolute end-to-end throughput and
 latency are measured by ``benchmarks/e2e/`` instead.
 
 Usage::
 
-    python benchmarks/bench_splice.py --quick --out benchmarks/out/BENCH_splice.json
     python benchmarks/bench_kernel.py --quick --out benchmarks/out/BENCH_kernel.json
     python benchmarks/bench_ingest.py --quick --out benchmarks/out/BENCH_ingest.json
     python benchmarks/bench_faults.py --quick --out benchmarks/out/BENCH_faults.json
@@ -44,11 +42,6 @@ from pathlib import Path
 #: ``identity``   — fields that must match the baseline exactly for the
 #:                  comparison to be meaningful (seeds, trace size).
 GATES: dict[str, dict] = {
-    "BENCH_splice.json": {
-        "headline": [("splice_speedup", "higher")],
-        "invariants": ["splice_equals_rebuild", "splice_equals_batch"],
-        "identity": ["events", "seed", "quick"],
-    },
     "BENCH_kernel.json": {
         "headline": [("kernel_speedup", "higher")],
         "invariants": ["kernels_agree"],

@@ -103,22 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the session state back to it on exit",
     )
     stream.add_argument(
-        "--repair-mode", choices=("splice", "rebuild"), default=None,
-        dest="repair_mode",
-        help="dirty-component repair strategy: splice cached dendrogram "
-        "merges below the first affected linkage distance (the default), "
-        "or re-agglomerate every dirty component from singletons; on "
-        "--state resume the flag overrides the checkpointed mode",
-    )
-    stream.add_argument(
-        "--kernel", choices=("auto", "numpy", "python"), default=None,
-        help="agglomeration implementation: 'auto' (default) runs large "
-        "components on the numpy kernel when numpy is installed, "
-        "'numpy'/'python' force one path; results are identical either "
-        "way — on --state resume the flag overrides the checkpointed "
-        "kernel",
-    )
-    stream.add_argument(
         "--scenario", default=None, metavar="YAML",
         help="run one machine of a declarative scenario config instead of "
         "the ad-hoc trace flags; the YAML (plus REPRO__* environment "
@@ -398,8 +382,6 @@ def _cmd_stream(args) -> str:
         pipeline = ShardedPipeline.from_state(
             live,
             load_json_checkpoint(state_path, kind="session checkpoint"),
-            repair_mode=args.repair_mode,
-            kernel=args.kernel,
         )
         clusters = pipeline.update()
         stats = pipeline.last_stats
@@ -423,8 +405,6 @@ def _cmd_stream(args) -> str:
             shard_prefixes=prefixes,
             window=args.window,
             correlation_threshold=args.threshold,
-            repair_mode=args.repair_mode or "splice",
-            kernel=args.kernel or "auto",
         )
         chunk_size = max(1, -(-len(events) // max(1, args.chunks)))
         chunks = -(-len(events) // chunk_size) if events else 0

@@ -27,9 +27,6 @@ from repro.core.clustering import (
     hac_complete_linkage,
 )
 from repro.core.dendro_repair import (
-    REPAIR_MODES,
-    REPAIR_REBUILD,
-    REPAIR_SPLICE,
     SpliceOutcome,
     build_dendrogram,
     splice_dendrogram,
@@ -75,9 +72,6 @@ __all__ = [
     "hac_complete_linkage",
     "agglomerate_clusters",
     "component_clusters",
-    "REPAIR_MODES",
-    "REPAIR_REBUILD",
-    "REPAIR_SPLICE",
     "SpliceOutcome",
     "build_dendrogram",
     "splice_dendrogram",

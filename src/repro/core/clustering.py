@@ -50,6 +50,34 @@ LINKAGE_AVERAGE = "average"
 _LINKAGES = (LINKAGE_COMPLETE, LINKAGE_SINGLE, LINKAGE_AVERAGE)
 
 
+def check_linkage(linkage: str) -> str:
+    """Validate a linkage name (returns it unchanged)."""
+    if linkage not in _LINKAGES:
+        raise ValueError(f"unknown linkage {linkage!r}; options: {_LINKAGES}")
+    return linkage
+
+
+def check_clustering_params(
+    window: float, correlation_threshold: float, linkage: str
+) -> None:
+    """Validate the parameters every clustering session is built from.
+
+    The one check shared by the per-machine engines and pipelines and the
+    fleet merge.  The window rule is the one
+    :class:`~repro.core.windowing.StreamingGroupExtractor` applies; the
+    threshold is the paper's correlation scale, where 2 means "always
+    modified together".
+    """
+    if window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
+    if not 0.0 < correlation_threshold <= 2.0:
+        raise ValueError(
+            "correlation threshold must lie in (0, 2], "
+            f"got {correlation_threshold}"
+        )
+    check_linkage(linkage)
+
+
 def hac_complete_linkage(matrix: CorrelationMatrix) -> Dendrogram:
     """Cluster the matrix's keys with complete linkage; full dendrogram.
 
@@ -75,8 +103,7 @@ def hac(
     the pure-Python reference; ``"auto"``/``"numpy"`` dispatch large
     components to the numpy kernel, which produces bit-identical merges.
     """
-    if linkage not in _LINKAGES:
-        raise ValueError(f"unknown linkage {linkage!r}; options: {_LINKAGES}")
+    check_linkage(linkage)
     merges: list[Merge] = []
     for component in matrix.connected_components():
         if len(component) > 1:
@@ -113,8 +140,7 @@ def component_clusters(
     >>> [sorted(c) for c in component_clusters(matrix, {"c"}, 2.0)]
     [['c']]
     """
-    if linkage not in _LINKAGES:
-        raise ValueError(f"unknown linkage {linkage!r}; options: {_LINKAGES}")
+    check_linkage(linkage)
     if len(component) == 1:
         return [frozenset(component)]
     merges = agglomerate_component(matrix, set(component), linkage, kernel=kernel)

@@ -85,16 +85,6 @@ from repro.core.hac_kernel import (
     resolve_kernel,
 )
 
-#: Repair every dirty component by splicing its cached dendrogram (the
-#: default; falls back to a wholesale rebuild when splicing is unsafe).
-REPAIR_SPLICE = "splice"
-#: Always re-agglomerate dirty components from singletons (the escape
-#: hatch; what every engine did before spliced repair existed).
-REPAIR_REBUILD = "rebuild"
-#: The repair modes understood by the engines and ``--repair-mode``.
-REPAIR_MODES = (REPAIR_SPLICE, REPAIR_REBUILD)
-
-
 @dataclass(frozen=True)
 class SeedDistanceCache:
     """Inter-seed linkage distances from a component's previous repair.
@@ -122,8 +112,8 @@ class SpliceOutcome:
     ``merges_reused`` counts cached merges kept verbatim (the spliced
     prefix); ``merges_recomputed`` counts merges the seeded agglomeration
     re-derived.  ``spliced`` says whether the splice path actually ran —
-    ``False`` means a wholesale rebuild (requested, no usable cache, or a
-    safety fallback).  ``kernel`` records which implementation derived
+    ``False`` means a wholesale rebuild (no usable cache, or a safety
+    fallback).  ``kernel`` records which implementation derived
     the recomputed merges (``"numpy"`` or ``"python"``); ``seed_cache``
     carries the refreshed inter-seed distances for the next repair of
     this component (numpy splice path only).
@@ -135,13 +125,6 @@ class SpliceOutcome:
     spliced: bool
     kernel: str = KERNEL_PYTHON
     seed_cache: SeedDistanceCache | None = field(default=None, compare=False)
-
-
-def check_repair_mode(mode: str) -> str:
-    """Validate a repair mode name (returns it unchanged)."""
-    if mode not in REPAIR_MODES:
-        raise ValueError(f"unknown repair mode {mode!r}; options: {REPAIR_MODES}")
-    return mode
 
 
 def build_dendrogram(

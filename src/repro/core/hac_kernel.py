@@ -61,7 +61,7 @@ KERNEL_AUTO = "auto"
 KERNEL_NUMPY = "numpy"
 #: Always use the pure-Python reference implementation.
 KERNEL_PYTHON = "python"
-#: The kernel names understood by the engines and ``stream --kernel``.
+#: The kernel names the clustering functions' ``kernel=`` accepts.
 KERNEL_NAMES = (KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON)
 
 #: Component size (in keys) at which ``kernel="auto"`` switches from the

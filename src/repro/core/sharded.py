@@ -74,7 +74,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.clustering import LINKAGE_COMPLETE, _LINKAGES
+from repro.core.clustering import LINKAGE_COMPLETE, check_clustering_params
 from repro.core.cluster_model import ClusterSet
 from repro.core.correlation import (
     CorrelationMatrix,
@@ -82,17 +82,15 @@ from repro.core.correlation import (
     correlation_to_distance,
 )
 from repro.core.dendro_repair import (
-    REPAIR_SPLICE,
     SeedDistanceCache,
     SpliceOutcome,
-    check_repair_mode,
     dendrogram_from_state,
     dendrogram_to_state,
     rebuild_outcome,
     splice_dendrogram,
 )
 from repro.core.dendrogram import Dendrogram
-from repro.core.hac_kernel import KERNEL_AUTO, KERNEL_NUMPY, check_kernel
+from repro.core.hac_kernel import KERNEL_AUTO, KERNEL_NUMPY
 from repro.core.ordering import SortedKeySets, diff_sorted
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
 from repro.core.windowing import GROUPING_SLIDING, StreamingGroupExtractor
@@ -103,12 +101,13 @@ from repro.ttkv.store import TTKV
 
 #: Checkpoint format version written by :meth:`ShardedPipeline.to_state`.
 #: Shard states carry a ``"compacted"`` aggregate baseline and their
-#: ``"groups"`` list holds only the retractable tail.  Version 4 dropped
-#: the shard-journal backend name that version 3 recorded in its params.
-STATE_VERSION = 4
+#: ``"groups"`` list holds only the retractable tail, and their
+#: ``"dendrograms"`` list is required.  Version 5 dropped the repair mode
+#: and kernel that version 4 recorded in its params.
+STATE_VERSION = 5
 
 #: Checkpoint versions :meth:`ShardedPipeline.from_state` accepts.
-SUPPORTED_STATE_VERSIONS = (4,)
+SUPPORTED_STATE_VERSIONS = (5,)
 
 #: Minimum closed groups per update before :meth:`ShardEngine.
 #: _register_stream` takes the matrix's bulk-ingest path; the routine
@@ -136,15 +135,15 @@ class UpdateStats:
     dendrogram repair (:mod:`repro.core.dendro_repair`): of all the
     agglomeration merges backing this update's reclustered components,
     how many were kept verbatim from cached dendrograms versus re-derived
-    by agglomeration.  Under ``repair_mode="rebuild"`` every merge of a
-    dirty component is recomputed, so ``merges_reused`` stays 0.
+    by agglomeration.
 
     ``kernel_components`` counts the reclustered components whose merges
     were derived by the numpy HAC kernel (:mod:`repro.core.hac_kernel`)
     rather than the pure-Python reference path; ``kernel_used`` flags
     whether the kernel ran at all in this update.  Both reflect the
-    per-component ``kernel="auto"`` dispatch — small components stay on
-    the Python path even when numpy is installed.
+    per-component dispatch by size, linkage and whether numpy imports —
+    small components stay on the Python path even when numpy is
+    installed.
     """
 
     events_consumed: int
@@ -194,13 +193,15 @@ class ShardEngine:
     the journal's epoch machinery always allowed.
 
     Each reclustered component's full dendrogram is cached alongside its
-    flat clusters, and ``repair_mode="splice"`` (the default) repairs a
-    dirty component by keeping the cached merge prefix below the first
-    affected linkage distance and re-agglomerating only the surviving
-    sub-clusters (:mod:`repro.core.dendro_repair`); ``"rebuild"`` always
-    re-agglomerates from singletons.  Both modes produce identical
-    clusters — the cache only changes how much work an update does, and
-    it survives checkpoints (:meth:`to_state`).
+    flat clusters.  A dirty component is repaired by keeping the cached
+    merge prefix below the first affected linkage distance and
+    re-agglomerating only the surviving sub-clusters
+    (:mod:`repro.core.dendro_repair`).  The code falls back to a
+    wholesale re-agglomeration from singletons when it cannot prove the
+    cache valid: nothing cached, a lossy update, average linkage, a
+    cache straddling the component, or a failed order check.  Both paths
+    produce identical clusters — the cache only changes how much work an
+    update does, and it survives checkpoints (:meth:`to_state`).
     """
 
     def __init__(
@@ -211,23 +212,18 @@ class ShardEngine:
         correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
         linkage: str = LINKAGE_COMPLETE,
         grouping: str = GROUPING_SLIDING,
-        repair_mode: str = REPAIR_SPLICE,
-        kernel: str = KERNEL_AUTO,
     ) -> None:
-        if linkage not in _LINKAGES:
-            raise ValueError(f"unknown linkage {linkage!r}; options: {_LINKAGES}")
+        check_clustering_params(window, correlation_threshold, linkage)
         self._journal = journal
         self._window = window
         self._correlation_threshold = correlation_threshold
         self._max_distance = correlation_to_distance(correlation_threshold)
         self._linkage = linkage
         self._grouping = grouping
-        self._repair_mode = check_repair_mode(repair_mode)
-        self._kernel = check_kernel(kernel)
         self._reset_state()
 
     def _reset_state(self) -> None:
-        # window and grouping are validated by the extractor
+        # grouping is validated by the extractor
         self._extractor = StreamingGroupExtractor(
             self._window, grouping=self._grouping
         )
@@ -302,36 +298,6 @@ class ShardEngine:
                 correlation_threshold=self._correlation_threshold,
             )
         return self._cluster_set
-
-    def set_repair_mode(self, mode: str) -> None:
-        """Switch the repair strategy in place (no session restart).
-
-        The mode only changes how much work future updates do, never
-        their output, so the engine's stream position and matrix are
-        untouched.  Entering ``"rebuild"`` drops the dendrogram cache (a
-        rebuild engine carries none — its checkpoints stay pre-splice
-        sized); returning to ``"splice"`` starts re-filling the cache as
-        components next go dirty.
-        """
-        if check_repair_mode(mode) == self._repair_mode:
-            return
-        self._repair_mode = mode
-        if mode != REPAIR_SPLICE:
-            self._dendro_cache.clear()
-            self._seed_cache.clear()
-
-    def set_kernel(self, kernel: str) -> None:
-        """Switch the agglomeration kernel in place (no session restart).
-
-        Like the repair mode, the kernel only changes how updates compute
-        their (identical) results, so the stream position, matrix and
-        caches are untouched.  Leaving the numpy kernel drops the cached
-        inter-seed distance arrays — the Python path never reads them.
-        """
-        if check_kernel(kernel) == self._kernel:
-            return
-        self._kernel = kernel
-        self._seed_cache.clear()
 
     def needs_update(self) -> bool:
         """O(1): did this shard's journal move since the engine last read?"""
@@ -516,9 +482,10 @@ class ShardEngine:
         ``dendro_of_key`` maps keys to the cached-dendrogram component
         they belonged to before the update.  Those dendrograms are popped
         from the cache (they are consumed either way; the caller re-caches
-        the repaired result) and spliced under ``repair_mode="splice"``;
-        ``"rebuild"`` — or an empty cache — re-agglomerates from
-        singletons.
+        the repaired result) and spliced; with none cached the component
+        re-agglomerates from singletons.  Each agglomeration runs on the
+        kernel :func:`~repro.core.hac_kernel.resolve_kernel` picks for the
+        component.
         """
         cached: list[Dendrogram] = []
         seed_caches: list[SeedDistanceCache] = []
@@ -538,18 +505,18 @@ class ShardEngine:
         # so the spliced merge list (and its checkpoint encoding) is a
         # deterministic function of the session state.
         cached.sort(key=lambda dendrogram: min(dendrogram.items))
-        if self._repair_mode == REPAIR_SPLICE and cached:
+        if cached:
             return splice_dendrogram(
                 self._matrix,
                 component,
                 dirty,
                 cached,
                 self._linkage,
-                kernel=self._kernel,
+                kernel=KERNEL_AUTO,
                 seed_caches=seed_caches,
             )
         return rebuild_outcome(
-            self._matrix, component, self._linkage, kernel=self._kernel
+            self._matrix, component, self._linkage, kernel=KERNEL_AUTO
         )
 
     def _rescan_components(
@@ -566,19 +533,18 @@ class ShardEngine:
         update: components may have *shrunk*, voiding the splice
         argument), in which case they re-agglomerate wholesale.
         """
-        if splice_ok and self._repair_mode == REPAIR_SPLICE:
+        if splice_ok:
             dendro_of_key = {
                 key: old for old in self._dendro_cache for key in old
             }
         else:
-            # Rebuild mode never carries dendrograms, and after a lossy
-            # update components may have shrunk, which voids the splice
-            # argument for anything the update touched.  Cached entries
-            # are not dropped wholesale, though: a component disjoint
-            # from ``dirty`` was untouched by the retraction (lost edges
-            # only come from retracted groups, whose keys are all dirty),
-            # so the loop below carries its dendrogram across exactly
-            # like its flat clusters.
+            # After a lossy update components may have shrunk, which
+            # voids the splice argument for anything the update touched.
+            # Cached entries are not dropped wholesale, though: a
+            # component disjoint from ``dirty`` was untouched by the
+            # retraction (lost edges only come from retracted groups,
+            # whose keys are all dirty), so the loop below carries its
+            # dendrogram across exactly like its flat clusters.
             dendro_of_key = {}
         cache: dict[frozenset[str], list[frozenset[str]]] = {}
         dendros: dict[frozenset[str], Dendrogram] = {}
@@ -612,13 +578,13 @@ class ShardEngine:
                 if kept is not None:
                     seed_caches[frozen] = kept
             cache[frozen] = clusters
-            if dendrogram is not None and self._repair_mode == REPAIR_SPLICE:
+            if dendrogram is not None:
                 dendros[frozen] = dendrogram
             for key in frozen:
                 of_key[key] = frozen
         self._component_cache = cache
         self._dendro_cache = dendros
-        self._seed_cache = seed_caches if self._repair_mode == REPAIR_SPLICE else {}
+        self._seed_cache = seed_caches
         self._component_of_key = of_key
         self._order = SortedKeySets(
             key_set for clusters in cache.values() for key_set in clusters
@@ -653,10 +619,9 @@ class ShardEngine:
         for root in roots:
             component = matrix.component_members(root)
             outcome = self._repair_component(component, dirty, self._component_of_key)
-            if self._repair_mode == REPAIR_SPLICE:
-                self._dendro_cache[component] = outcome.dendrogram
-                if outcome.seed_cache is not None:
-                    self._seed_cache[component] = outcome.seed_cache
+            self._dendro_cache[component] = outcome.dendrogram
+            if outcome.seed_cache is not None:
+                self._seed_cache[component] = outcome.seed_cache
             clusters = outcome.dendrogram.cut(self._max_distance)
             self._component_cache[component] = clusters
             merges_reused += outcome.merges_reused
@@ -721,8 +686,6 @@ class ShardEngine:
                 [index, sorted(members)]
                 for index, members in sorted(self._matrix.observed_groups().items())
             ],
-            # rebuild mode carries no dendrogram cache, so its
-            # checkpoints stay exactly as small as before splicing
             "dendrograms": [
                 dendrogram_to_state(self._dendro_cache[component])
                 for component in sorted(self._dendro_cache, key=sorted)
@@ -789,15 +752,14 @@ class ShardEngine:
         if compacted is not None:
             self._matrix.install_compacted(compacted)
         known = set(self._matrix.keys)
-        for entry in state.get("dendrograms") or ():
+        for entry in state["dendrograms"]:
             dendrogram = dendrogram_from_state(entry)
             if not dendrogram.items <= known:
                 raise CheckpointError(
                     "checkpoint dendrogram covers keys absent from the "
                     "checkpointed groups"
                 )
-            if self._repair_mode == REPAIR_SPLICE:
-                self._dendro_cache[dendrogram.items] = dendrogram
+            self._dendro_cache[dendrogram.items] = dendrogram
         self._seen_structure = self._matrix.structure_version
 
 
@@ -822,16 +784,10 @@ class ShardedPipeline:
     updates — the change is detected and the session restarts over the
     full stream.
 
-    ``repair_mode`` selects how dirty components are re-clustered:
-    ``"splice"`` (default) repairs each one's cached dendrogram below the
-    first affected linkage distance (:mod:`repro.core.dendro_repair`);
-    ``"rebuild"`` re-agglomerates from singletons every time.  Both
-    produce identical clusters; ``last_stats.merges_reused`` /
-    ``merges_recomputed`` report the difference in work.  Unlike the
-    clustering parameters, reassigning ``repair_mode`` between updates
-    does *not* restart the session — the mode is applied to the live
-    engines in place (switching to ``"rebuild"`` drops their dendrogram
-    caches; switching back re-fills them as components next go dirty).
+    Each engine splices dirty components' cached dendrograms
+    (:mod:`repro.core.dendro_repair`) and picks the agglomeration kernel
+    per component (:mod:`repro.core.hac_kernel`); ``last_stats`` reports
+    the merges reused and recomputed and the kernel dispatch.
 
     Sessions checkpoint to JSON-safe dicts (:meth:`to_state`) and resume
     (:meth:`from_state`) without re-reading consumed journal events.
@@ -848,8 +804,6 @@ class ShardedPipeline:
         key_filter: str | None = None,
         grouping: str = GROUPING_SLIDING,
         catch_all: bool = True,
-        repair_mode: str = REPAIR_SPLICE,
-        kernel: str = KERNEL_AUTO,
     ) -> None:
         self.store = store
         self.shard_prefixes = tuple(shard_prefixes)
@@ -859,16 +813,11 @@ class ShardedPipeline:
         self.linkage = linkage
         self.key_filter = key_filter
         self.grouping = grouping
-        self.repair_mode = repair_mode
-        self.kernel = kernel
         self.last_stats: UpdateStats | None = None
         self._journal_view: ShardedJournal | None = None
         self._reset()
 
     def _params(self) -> tuple:
-        # repair_mode and kernel are deliberately absent: they never
-        # change results, so retuning them applies to the engines in
-        # place instead of restarting the session (see update()).
         return (
             self.window,
             self.correlation_threshold,
@@ -880,18 +829,10 @@ class ShardedPipeline:
         )
 
     def _reset(self) -> None:
-        if not 0.0 < self.correlation_threshold <= 2.0:
-            raise ValueError(
-                "correlation threshold must lie in (0, 2], "
-                f"got {self.correlation_threshold}"
-            )
-        if self.linkage not in _LINKAGES:
-            raise ValueError(
-                f"unknown linkage {self.linkage!r}; options: {_LINKAGES}"
-            )
-        check_repair_mode(self.repair_mode)
-        check_kernel(self.kernel)
-        # window and grouping are validated before any journal is attached
+        # every parameter is validated before any journal is attached
+        check_clustering_params(
+            self.window, self.correlation_threshold, self.linkage
+        )
         StreamingGroupExtractor(self.window, grouping=self.grouping)
         if self._journal_view is not None:
             self._journal_view.detach()
@@ -908,8 +849,6 @@ class ShardedPipeline:
                 correlation_threshold=self.correlation_threshold,
                 linkage=self.linkage,
                 grouping=self.grouping,
-                repair_mode=self.repair_mode,
-                kernel=self.kernel,
             )
             for shard_id in self._journal_view.shard_ids
         }
@@ -1009,9 +948,6 @@ class ShardedPipeline:
         if self._params() != self._active_params:
             self._reset()
             session_rebuilt = True
-        for engine in self._engines.values():
-            engine.set_repair_mode(self.repair_mode)
-            engine.set_kernel(self.kernel)
         events = groups = dirty = total = reclustered = reused = absorbed = 0
         merges_reused = merges_recomputed = kernel_components = 0
         engine_rebuilt = False
@@ -1097,8 +1033,6 @@ class ShardedPipeline:
                 "grouping": self.grouping,
                 "shard_prefixes": list(self.shard_prefixes),
                 "catch_all": self.catch_all,
-                "repair_mode": self.repair_mode,
-                "kernel": self.kernel,
             },
             "shards": {
                 shard_id: engine.to_state()
@@ -1107,23 +1041,13 @@ class ShardedPipeline:
         }
 
     @classmethod
-    def from_state(
-        cls,
-        store: TTKV,
-        state: dict,
-        *,
-        repair_mode: str | None = None,
-        kernel: str | None = None,
-    ) -> "ShardedPipeline":
+    def from_state(cls, store: TTKV, state: dict) -> "ShardedPipeline":
         """Rebuild a session over ``store`` from :meth:`to_state` output.
 
         ``store`` must hold (at least) the journal the checkpointed
         session had consumed — a deployment re-opening its persisted TTKV
         satisfies this.  Always returns a :class:`ShardedPipeline`, with
         the checkpoint's parameters (not the defaults of ``cls``).
-        ``repair_mode`` and ``kernel`` affect only how much work updates
-        do, never their output: ``None`` (default) keeps the checkpoint's
-        value, an explicit value overrides it.
 
         Every failure is a :class:`~repro.exceptions.CheckpointError`: an
         unsupported version or a checkpoint that does not match ``store``
@@ -1147,10 +1071,6 @@ class ShardedPipeline:
                 key_filter=params["key_filter"],
                 grouping=params["grouping"],
                 catch_all=params["catch_all"],
-                repair_mode=(
-                    repair_mode if repair_mode is not None else params["repair_mode"]
-                ),
-                kernel=kernel if kernel is not None else params["kernel"],
             )
             shards = state["shards"]
         except (KeyError, TypeError, AttributeError, ValueError) as error:

@@ -24,8 +24,10 @@ stale-evidence machine list, restart/fault totals — and each machine's
 Request input comes from the network, so reading it is bounded: the
 request line and headers must arrive within :data:`READ_TIMEOUT` seconds
 (else 408), no line may exceed :data:`MAX_LINE_BYTES` and at most
-:data:`MAX_HEADERS` header lines are read (else 400).  Every connection
-is closed after its one response.
+:data:`MAX_HEADERS` header lines are read (else 400).  At most
+:data:`MAX_CONNECTIONS` requests are read at once; a connection over the
+cap is answered 503 without its request being read.  Every connection is
+closed after its one response.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    503: "Service Unavailable",
 }
 
 #: Seconds a client has to send its request line and all its headers.
@@ -51,6 +54,10 @@ MAX_LINE_BYTES = 8192
 
 #: Most header lines read after the request line.
 MAX_HEADERS = 100
+
+#: Most connections whose requests are read at once; each may hold its
+#: handler for up to :data:`READ_TIMEOUT` seconds.
+MAX_CONNECTIONS = 64
 
 
 class _BadRequest(ValueError):
@@ -86,6 +93,7 @@ class FleetQueryServer:
     def __init__(self, fleet: FleetPipeline) -> None:
         self._fleet = fleet
         self._server: asyncio.AbstractServer | None = None
+        self._in_flight = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -148,7 +156,16 @@ class FleetQueryServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            status, payload = await self._respond_to(reader)
+            if self._in_flight >= MAX_CONNECTIONS:
+                status, payload = 503, {
+                    "error": f"more than {MAX_CONNECTIONS} connections in flight"
+                }
+            else:
+                self._in_flight += 1
+                try:
+                    status, payload = await self._respond_to(reader)
+                finally:
+                    self._in_flight -= 1
             body = json.dumps(payload).encode("utf-8")
             writer.write(
                 (

@@ -29,11 +29,12 @@ from typing import Mapping, Sequence
 from repro.core.cluster_model import ClusterSet
 from repro.core.clustering import (
     LINKAGE_COMPLETE,
+    check_clustering_params,
     component_clusters,
     flat_clusters,
 )
 from repro.core.correlation import CorrelationMatrix, CorrelationMatrixView
-from repro.core.hac_kernel import KERNEL_AUTO, check_kernel
+from repro.core.hac_kernel import KERNEL_AUTO
 from repro.core.ordering import SortedKeySets
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
 from repro.core.windowing import extract_write_groups
@@ -83,17 +84,11 @@ class FleetCorrelationMerge:
         window: float = DEFAULT_WINDOW,
         correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
         linkage: str = LINKAGE_COMPLETE,
-        kernel: str = KERNEL_AUTO,
     ) -> None:
-        if not 0.0 < correlation_threshold <= 2.0:
-            raise ValueError(
-                "correlation threshold must lie in (0, 2], "
-                f"got {correlation_threshold}"
-            )
+        check_clustering_params(window, correlation_threshold, linkage)
         self.window = window
         self.correlation_threshold = correlation_threshold
         self.linkage = linkage
-        self.kernel = check_kernel(kernel)
         self._matrix = CorrelationMatrix()
         self._snapshots: dict[str, Snapshot] = {}
         self._dirty: set[str] = set()
@@ -186,7 +181,7 @@ class FleetCorrelationMerge:
                     component,
                     self.correlation_threshold,
                     self.linkage,
-                    kernel=self.kernel,
+                    kernel=KERNEL_AUTO,
                 )
                 reclustered += 1
             next_cache[members] = key_sets

@@ -53,7 +53,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.cluster_model import ClusterSet
 from repro.core.clustering import LINKAGE_COMPLETE
-from repro.core.hac_kernel import KERNEL_AUTO
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
 from repro.core.sharded import ShardedPipeline
 from repro.exceptions import CheckpointError, CorruptCheckpointError
@@ -74,10 +73,10 @@ from repro.fleet.resilience import (
 )
 from repro.ttkv.store import TTKV
 
-#: Fleet manifest format; version 3 dropped the shard-journal backend
-#: name that version 2 recorded in its params.
-STATE_VERSION = 3
-SUPPORTED_STATE_VERSIONS = (3,)
+#: Fleet manifest format; version 4 dropped the kernel that version 3
+#: recorded in its params (machine checkpoints are sharded version 5).
+STATE_VERSION = 4
+SUPPORTED_STATE_VERSIONS = (4,)
 
 #: Machine ids become checkpoint file names, so keep them path-safe.
 _MACHINE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -114,9 +113,10 @@ class FleetPipeline:
     """A fleet of per-machine pipelines plus the fleet-level merge.
 
     Parameters mirror the per-machine pipelines (``window``,
-    ``correlation_threshold``, ``linkage``, ``kernel``) and apply to
-    every machine.  ``max_lag`` is the per-machine backpressure bound
-    used by :meth:`drive` (``None``: unbounded).
+    ``correlation_threshold``, ``linkage``) and apply to every machine;
+    they are validated at construction, by the fleet merge.  ``max_lag``
+    is the per-machine backpressure bound used by :meth:`drive`
+    (``None``: unbounded).
     """
 
     def __init__(
@@ -125,7 +125,6 @@ class FleetPipeline:
         window: float = DEFAULT_WINDOW,
         correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
         linkage: str = LINKAGE_COMPLETE,
-        kernel: str = KERNEL_AUTO,
         max_lag: int | None = None,
     ) -> None:
         if max_lag is not None and max_lag < 1:
@@ -133,14 +132,12 @@ class FleetPipeline:
         self.window = window
         self.correlation_threshold = correlation_threshold
         self.linkage = linkage
-        self.kernel = kernel
         self.max_lag = max_lag
         self._machines: dict[str, ShardedPipeline] = {}
         self._merge = FleetCorrelationMerge(
             window=window,
             correlation_threshold=correlation_threshold,
             linkage=linkage,
-            kernel=kernel,
         )
         self._status: dict[str, dict] = {}
         self._rounds = 0
@@ -191,7 +188,6 @@ class FleetPipeline:
             window=self.window,
             correlation_threshold=self.correlation_threshold,
             linkage=self.linkage,
-            kernel=self.kernel,
         )
         self._machines[machine_id] = pipeline
         self._refresh_status(machine_id)
@@ -404,8 +400,6 @@ class FleetPipeline:
                 key_filter=old.key_filter,
                 grouping=old.grouping,
                 catch_all=old.catch_all,
-                repair_mode=old.repair_mode,
-                kernel=old.kernel,
             )
         self._machines[machine_id] = fresh
         self._forced_sweeps.add(machine_id)
@@ -703,7 +697,6 @@ class FleetPipeline:
                 "window": self.window,
                 "correlation_threshold": self.correlation_threshold,
                 "linkage": self.linkage,
-                "kernel": self.kernel,
                 "max_lag": self.max_lag,
             },
         }
@@ -741,15 +734,13 @@ class FleetPipeline:
         path: str | Path,
         stores: Mapping[str, TTKV],
         *,
-        kernel: str | None = None,
         max_lag: int | None = None,
     ) -> "FleetPipeline":
         """Restore a fleet over re-opened per-machine stores.
 
         ``stores`` must provide a store for every machine named in the
         manifest, each holding (at least) the journal that machine's
-        checkpoint had consumed.  ``kernel`` overrides the checkpointed
-        kernel when given; ``max_lag`` overrides the checkpointed
+        checkpoint had consumed.  ``max_lag`` overrides the checkpointed
         backpressure bound.
 
         Restores from the newest checkpoint generation that verifies
@@ -780,7 +771,6 @@ class FleetPipeline:
             window = params["window"]
             correlation_threshold = params["correlation_threshold"]
             linkage = params["linkage"]
-            state_kernel = params["kernel"]
             state_max_lag = params["max_lag"]
         except (KeyError, TypeError) as error:
             raise CorruptCheckpointError(
@@ -796,14 +786,12 @@ class FleetPipeline:
             window=window,
             correlation_threshold=correlation_threshold,
             linkage=linkage,
-            kernel=kernel if kernel is not None else state_kernel,
             max_lag=max_lag if max_lag is not None else state_max_lag,
         )
         for machine_id in machine_ids:
             fleet._machines[machine_id] = ShardedPipeline.from_state(
                 stores[machine_id],
                 machine_states[machine_id],
-                kernel=kernel,
             )
             fleet._refresh_status(machine_id)
         fleet._rounds = rounds

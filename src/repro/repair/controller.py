@@ -19,8 +19,6 @@ from repro.core.pipeline import (
     DEFAULT_WINDOW,
     singleton_clusters,
 )
-from repro.core.dendro_repair import REPAIR_SPLICE
-from repro.core.hac_kernel import KERNEL_AUTO
 from repro.core.sharded import ShardedPipeline
 from repro.core.repair import FixOracle, RepairEngine, RepairOutcome
 from repro.core.search import (
@@ -75,20 +73,6 @@ class OcastaRepairTool:
         configuration settings that cause the configuration problem."
     use_clustering:
         ``False`` gives the Ocasta-NoClust baseline of Table IV.
-    repair_mode:
-        Dirty-component repair strategy for the clustering session —
-        ``"splice"`` (default) keeps cached dendrogram merges below the
-        first affected linkage distance, ``"rebuild"`` re-agglomerates
-        from singletons (see :mod:`repro.core.dendro_repair`).  Both
-        yield identical clusters; ``last_update_stats`` shows the work
-        difference.
-    kernel:
-        Agglomeration implementation selector
-        (:mod:`repro.core.hac_kernel`): ``"auto"`` (default) runs large
-        components on the numpy kernel when numpy is installed,
-        ``"numpy"``/``"python"`` force one path.  Identical clusters
-        either way; ``last_update_stats.kernel_components`` shows the
-        dispatch.
     """
 
     def __init__(
@@ -100,8 +84,6 @@ class OcastaRepairTool:
         sort_policy: str = SORT_MODCOUNT,
         use_clustering: bool = True,
         clock: SimClock | None = None,
-        repair_mode: str = REPAIR_SPLICE,
-        kernel: str = KERNEL_AUTO,
     ) -> None:
         self.app = app
         self.ttkv = ttkv
@@ -110,8 +92,6 @@ class OcastaRepairTool:
         self.sort_policy = sort_policy
         self.use_clustering = use_clustering
         self.clock = clock if clock is not None else SimClock()
-        self.repair_mode = repair_mode
-        self.kernel = kernel
         self._pipeline: ShardedPipeline | None = None
 
     @property
@@ -142,15 +122,11 @@ class OcastaRepairTool:
                 window=self.window,
                 correlation_threshold=self.correlation_threshold,
                 catch_all=False,
-                repair_mode=self.repair_mode,
-                kernel=self.kernel,
             )
         else:
             # the pipeline detects retuned parameters and restarts itself
             self._pipeline.window = self.window
             self._pipeline.correlation_threshold = self.correlation_threshold
-            self._pipeline.repair_mode = self.repair_mode
-            self._pipeline.kernel = self.kernel
         return self._pipeline.update()
 
     def repair(

@@ -78,7 +78,6 @@ class PipelineSection(BaseModel):
     window: float = Field(default=1.0, gt=0)
     correlation_threshold: float = Field(default=2.0, gt=0)
     linkage: Literal["complete", "single", "average"] = "complete"
-    kernel: Literal["auto", "numpy", "python"] = "auto"
 
 
 class FleetSection(BaseModel):

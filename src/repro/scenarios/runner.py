@@ -177,7 +177,6 @@ def run_fleet_scenario(
         window=config.pipeline.window,
         correlation_threshold=config.pipeline.correlation_threshold,
         linkage=config.pipeline.linkage,
-        kernel=config.pipeline.kernel,
         max_lag=config.fleet.max_lag,
     )
 
@@ -307,7 +306,6 @@ def run_stream_scenario(
         window=config.pipeline.window,
         correlation_threshold=config.pipeline.correlation_threshold,
         linkage=config.pipeline.linkage,
-        kernel=config.pipeline.kernel,
     )
     updates = reorders = rebuilds = fed = 0
     try:

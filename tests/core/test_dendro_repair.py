@@ -2,10 +2,10 @@
 
 The contracts under test:
 
-- a pipeline running ``repair_mode="splice"`` produces *bit-identical*
-  clusters to one running ``repair_mode="rebuild"`` and to the batch
-  :func:`~repro.core.pipeline.cluster_settings` reference, for any prefix
-  of any event stream (hypothesis + a sweep over every workload profile);
+- a splicing pipeline produces *bit-identical* clusters to the batch
+  :func:`~repro.core.pipeline.cluster_settings` reference (a wholesale
+  agglomeration of the whole trace), for any prefix of any event stream
+  (hypothesis + a sweep over every workload profile);
 - :func:`~repro.core.dendro_repair.splice_dendrogram` reproduces the
   wholesale dendrogram merge-for-merge, including at distance ties (where
   merges at the splice line must be conservatively re-derived);
@@ -30,12 +30,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.correlation import CorrelationMatrix
 from repro.core.clustering import agglomerate_clusters
 from repro.core.dendro_repair import (
-    REPAIR_MODES,
-    REPAIR_REBUILD,
-    REPAIR_SPLICE,
     block_affected_distance,
     build_dendrogram,
-    check_repair_mode,
     dendrogram_from_state,
     dendrogram_to_state,
     first_affected_distance,
@@ -45,7 +41,7 @@ from repro.core.dendro_repair import (
 from repro.core.hac_kernel import numpy_available
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
-from repro.ttkv.sharding import CATCH_ALL
+from repro.exceptions import CorruptCheckpointError
 from repro.ttkv.store import DELETED, TTKV
 from repro.workload.machines import PROFILES
 from repro.workload.tracegen import generate_trace
@@ -61,15 +57,14 @@ def _key_sets(cluster_set):
 
 
 def assert_splice_equivalence(events, rng, cuts=4, **params):
-    """Feed the same chunks to a spliced and a wholesale pipeline.
+    """Feed a splicing pipeline the stream in chunks.
 
-    At every cut both pipelines must agree with each other and with the
-    batch reference — bit-identical key sets in identical order.
+    At every cut it must agree with the batch reference — bit-identical
+    key sets in identical order.
     """
     stream = _sorted_stream(events)
     live = TTKV()
-    spliced = ShardedPipeline(live, repair_mode=REPAIR_SPLICE, **params)
-    wholesale = ShardedPipeline(live, repair_mode=REPAIR_REBUILD, **params)
+    spliced = ShardedPipeline(live, **params)
     positions = sorted(rng.sample(range(len(stream) + 1), min(cuts, len(stream) + 1)))
     if len(stream) not in positions:
         positions.append(len(stream))
@@ -78,15 +73,10 @@ def assert_splice_equivalence(events, rng, cuts=4, **params):
         live.record_events(stream[consumed:position])
         consumed = position
         spliced_sets = _key_sets(spliced.update())
-        wholesale_sets = _key_sets(wholesale.update())
-        assert spliced_sets == wholesale_sets, (
-            f"splice diverged from wholesale at prefix "
-            f"{position}/{len(stream)} with {params}"
-        )
-        assert wholesale.last_stats.merges_reused == 0
         batch = cluster_settings(live, **params)
         assert spliced_sets == _key_sets(batch), (
-            f"splice diverged from batch at prefix {position}/{len(stream)}"
+            f"splice diverged from batch at prefix "
+            f"{position}/{len(stream)} with {params}"
         )
 
 
@@ -355,11 +345,6 @@ class TestSeededAgglomeration:
         clusters = surviving_clusters(frozenset("abc"), dendrogram.merges[:1])
         assert clusters == [frozenset("ab"), frozenset("c")]
 
-    def test_repair_mode_validation(self):
-        assert check_repair_mode("splice") == "splice"
-        assert set(REPAIR_MODES) == {"splice", "rebuild"}
-        with pytest.raises(ValueError, match="unknown repair mode"):
-            check_repair_mode("magic")
 
 
 # -- splice floor from the distance block ------------------------------------
@@ -439,45 +424,6 @@ class TestEngineRepair:
         assert stats.merges_reused > 0
         assert stats.merges_recomputed > 0
 
-    def test_rebuild_mode_never_reuses(self):
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store, repair_mode=REPAIR_REBUILD)
-        pipeline.update()
-        store.record_write("app/k00", "new", 50 * 100.0 + 1500)
-        pipeline.update()
-        assert pipeline.last_stats.merges_reused == 0
-        assert pipeline.last_stats.merges_recomputed > 0
-
-    def test_repair_mode_is_validated(self):
-        store = TTKV()
-        with pytest.raises(ValueError, match="unknown repair mode"):
-            ShardedPipeline(store, repair_mode="magic")
-
-    def test_retuned_repair_mode_applies_in_place(self):
-        # unlike the clustering parameters, the repair mode never changes
-        # results, so flipping it must NOT restart the session
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store)
-        before = _key_sets(pipeline.update())
-        pipeline.repair_mode = REPAIR_REBUILD
-        store.record_write("app/k00", "new", 50 * 100.0 + 1500)
-        after = pipeline.update()
-        assert not pipeline.last_stats.rebuilt
-        assert pipeline.last_stats.merges_reused == 0
-        assert _key_sets(after) == _key_sets(cluster_settings(store))
-        # and back: the dendrogram cache refills as components go dirty
-        pipeline.repair_mode = REPAIR_SPLICE
-        engine = pipeline._engines[CATCH_ALL]
-        assert not engine._dendro_cache  # rebuild mode dropped it
-        store.record_write("app/k01", "new", 50 * 100.0 + 1600)
-        pipeline.update()  # rebuild-and-cache round
-        assert not pipeline.last_stats.rebuilt
-        assert engine._dendro_cache  # refilled in place
-        assert _key_sets(pipeline.cluster_set) == _key_sets(
-            cluster_settings(store)
-        )
-        assert before  # session survived every switch
-
     def test_reorder_into_closed_group_rebuild_resets_cache(self):
         store = TTKV()
         store.record_write("a", 1, 100.0)
@@ -530,18 +476,17 @@ class TestEngineRepair:
         assert resumed.last_stats.merges_reused > 0
         assert _key_sets(clusters) == _key_sets(cluster_settings(store))
 
-    def test_checkpoint_without_dendrograms_still_restores(self):
-        # checkpoints written before the dendrogram cache existed load
-        # fine; the first update just re-agglomerates
+    def test_checkpoint_without_dendrograms_rejected(self):
+        # every current checkpoint carries the dendrogram cache; a shard
+        # state without it is truncated, not an older format to accept
         store = _hot_component_store()
         pipeline = ShardedPipeline(store)
         pipeline.update()
         state = pipeline.to_state()
         for shard_state in state["shards"].values():
             assert shard_state.pop("dendrograms")
-        resumed = ShardedPipeline.from_state(store, state)
-        assert _key_sets(resumed.update()) == _key_sets(cluster_settings(store))
-        assert resumed.last_stats.merges_reused == 0
+        with pytest.raises(CorruptCheckpointError, match="dendrograms"):
+            ShardedPipeline.from_state(store, state)
 
     def test_checkpoint_rejects_foreign_dendrogram_keys(self):
         store = _hot_component_store()
@@ -555,42 +500,6 @@ class TestEngineRepair:
         with pytest.raises(ValueError, match="dendrogram covers keys absent"):
             ShardedPipeline.from_state(store, state)
 
-    def test_repair_mode_survives_the_checkpoint(self):
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store, repair_mode=REPAIR_REBUILD)
-        pipeline.update()
-        resumed = ShardedPipeline.from_state(store, pipeline.to_state())
-        assert resumed.repair_mode == REPAIR_REBUILD
-
-    def test_from_state_repair_mode_override(self):
-        # repair_mode is runtime configuration: a resume may override
-        # the checkpointed mode without changing results
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store)  # splice-mode checkpoint
-        pipeline.update()
-        resumed = ShardedPipeline.from_state(
-            store, pipeline.to_state(), repair_mode=REPAIR_REBUILD
-        )
-        assert resumed.repair_mode == REPAIR_REBUILD
-        store.record_write("app/k00", "new", 50 * 100.0 + 1500)
-        clusters = resumed.update()
-        assert resumed.last_stats.merges_reused == 0
-        assert _key_sets(clusters) == _key_sets(cluster_settings(store))
-
-    def test_rebuild_mode_carries_no_dendrogram_cache(self):
-        # rebuild-mode checkpoints stay exactly as small as pre-splice
-        # ones, and merges_reused stays 0 even across a restore
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store, repair_mode=REPAIR_REBUILD)
-        pipeline.update()
-        state = pipeline.to_state()
-        for shard_state in state["shards"].values():
-            assert shard_state["dendrograms"] == []
-        resumed = ShardedPipeline.from_state(store, state)
-        store.record_write("app/k00", "new", 50 * 100.0 + 1500)
-        resumed.update()
-        assert resumed.last_stats.merges_reused == 0
-        assert resumed.last_stats.merges_recomputed > 0
 
 
 # -- state encoding ----------------------------------------------------------

@@ -6,10 +6,10 @@ The contracts under test:
   ``kernel="numpy"`` and ``kernel="python"`` — same pairs, same order,
   same recorded distances — including under distance ties and from
   seeded (multi-key) partitions;
-- pipelines running the numpy kernel produce clusters byte-identical to
-  Python-kernel pipelines and to the batch ``cluster_settings``
-  reference, for any prefix of any event stream (hypothesis + a sweep
-  over every workload profile);
+- pipelines with every component on the numpy kernel produce clusters
+  byte-identical to the batch ``cluster_settings`` reference (the
+  pure-Python HAC), for any prefix of any event stream (hypothesis + a
+  sweep over every workload profile);
 - both kernels agree with SciPy's ``linkage`` on dense tie-free random
   matrices;
 - the dense distance-block cache refreshes only dirty rows and survives
@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -59,7 +60,6 @@ from repro.core.hac_kernel import (
 )
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
-from repro.exceptions import CorruptCheckpointError
 from repro.ttkv.store import DELETED, TTKV
 from repro.workload.machines import PROFILES
 from repro.workload.tracegen import generate_trace
@@ -191,31 +191,39 @@ class TestMergeEquality:
                             assert square[b, a] == expected
 
 
-# -- pipelines ≡ batch across both kernels ------------------------------------
+# -- pipelines on the numpy kernel ≡ batch ------------------------------------
 
 
 def assert_kernel_equivalence(events, rng, cuts=4, **params):
-    """Feed identical chunks to a numpy- and a Python-kernel pipeline."""
+    """Feed a pipeline whose every component takes the numpy kernel.
+
+    Patching the size threshold to 0 sends every complete- and
+    single-linkage agglomeration the engine makes, splice seeding
+    included, down the numpy path; the batch reference stays on the
+    pure-Python HAC.  Every reclustered component must report the
+    kernel, which proves the patch took effect.
+    """
     stream = _sorted_stream(events)
     live = TTKV()
-    fast = ShardedPipeline(live, kernel=KERNEL_NUMPY, **params)
-    reference = ShardedPipeline(live, kernel=KERNEL_PYTHON, **params)
+    on_kernel = params.get("linkage", "complete") in hk.KERNEL_LINKAGES
     positions = sorted(rng.sample(range(len(stream) + 1), min(cuts, len(stream) + 1)))
     if len(stream) not in positions:
         positions.append(len(stream))
     consumed = 0
-    for position in positions:
-        live.record_events(stream[consumed:position])
-        consumed = position
-        fast_sets = _key_sets(fast.update())
-        reference_sets = _key_sets(reference.update())
-        assert fast_sets == reference_sets, (
-            f"kernels diverged at prefix {position}/{len(stream)} with {params}"
-        )
-        batch = cluster_settings(live, **params)
-        assert fast_sets == _key_sets(batch), (
-            f"numpy kernel diverged from batch at prefix {position}/{len(stream)}"
-        )
+    with mock.patch.object(hk, "KERNEL_SIZE_THRESHOLD", 0):
+        fast = ShardedPipeline(live, **params)
+        for position in positions:
+            live.record_events(stream[consumed:position])
+            consumed = position
+            fast_sets = _key_sets(fast.update())
+            stats = fast.last_stats
+            expected = stats.components_reclustered if on_kernel else 0
+            assert stats.kernel_components == expected
+            batch = cluster_settings(live, **params)
+            assert fast_sets == _key_sets(batch), (
+                f"numpy kernel diverged from batch at prefix "
+                f"{position}/{len(stream)} with {params}"
+            )
 
 
 _timestamps = st.floats(min_value=0, max_value=2000, allow_nan=False)
@@ -518,61 +526,39 @@ def _hot_component_store(groups: int = 60, keys: int = 60) -> TTKV:
 
 class TestEngineKernelDispatch:
     def test_kernel_counters_surface_in_update_stats(self):
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store, kernel=KERNEL_NUMPY)
+        store = _hot_component_store()  # one 60-key component
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         stats = pipeline.last_stats
         assert stats.kernel_used
         assert stats.kernel_components > 0
 
-    def test_python_kernel_reports_no_kernel_components(self):
+    def test_python_kernel_reports_no_kernel_components(self, monkeypatch):
+        # an unreachable size threshold keeps the 60-key component on
+        # the Python path, and the counters must say so
+        monkeypatch.setattr(hk, "KERNEL_SIZE_THRESHOLD", 10**9)
         store = _hot_component_store()
-        pipeline = ShardedPipeline(store, kernel=KERNEL_PYTHON)
-        pipeline.update()
+        pipeline = ShardedPipeline(store)
+        clusters = pipeline.update()
         assert not pipeline.last_stats.kernel_used
         assert pipeline.last_stats.kernel_components == 0
+        assert _key_sets(clusters) == _key_sets(cluster_settings(store))
 
     def test_auto_leaves_small_components_on_python(self):
         store = TTKV()
         store.record_write("a", 1, 10.0)
         store.record_write("b", 1, 10.0)
-        pipeline = ShardedPipeline(store)  # kernel="auto"
+        pipeline = ShardedPipeline(store)
         pipeline.update()
         assert not pipeline.last_stats.kernel_used
 
-    def test_retuned_kernel_applies_in_place(self):
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store, kernel=KERNEL_PYTHON)
-        before = _key_sets(pipeline.update())
-        pipeline.kernel = KERNEL_NUMPY
-        store.record_write("app/k00", "new", 60 * 100.0 + 1500)
-        after = pipeline.update()
-        assert not pipeline.last_stats.rebuilt  # no session restart
-        assert pipeline.last_stats.kernel_used
-        assert _key_sets(after) == _key_sets(cluster_settings(store))
-        assert before
-
-    def test_kernel_survives_the_checkpoint_and_can_be_overridden(self):
-        from repro.core.sharded import ShardedPipeline
-
-        store = _hot_component_store()
-        pipeline = ShardedPipeline(store, kernel=KERNEL_NUMPY)
-        pipeline.update()
-        state = pipeline.to_state()
-        assert state["params"]["kernel"] == KERNEL_NUMPY
-        resumed = ShardedPipeline.from_state(store, state)
-        assert resumed.kernel == KERNEL_NUMPY
-        overridden = ShardedPipeline.from_state(store, state, kernel=KERNEL_PYTHON)
-        assert overridden.kernel == KERNEL_PYTHON
-        # every current checkpoint records its kernel: one without is damaged
-        del state["params"]["kernel"]
-        with pytest.raises(CorruptCheckpointError, match="kernel"):
-            ShardedPipeline.from_state(store, state)
-
     def test_invalid_kernel_is_rejected(self):
-        store = TTKV()
+        # the kernel is chosen only at the function level
         with pytest.raises(ValueError, match="unknown kernel"):
-            ShardedPipeline(store, kernel="magic")
+            resolve_kernel("magic", "complete", 2)
+        matrix = CorrelationMatrix({"a": {0}, "b": {0}})
+        with pytest.raises(ValueError, match="unknown kernel"):
+            agglomerate_component(matrix, {"a", "b"}, "complete", kernel="magic")
 
 
 # -- the no-numpy fallback ----------------------------------------------------
@@ -592,13 +578,13 @@ class TestNumpyAbsent:
     def test_explicit_numpy_raises_a_clear_error(self, no_numpy):
         with pytest.raises(RuntimeError, match="numpy is not installed"):
             check_kernel(KERNEL_NUMPY)
-        store = TTKV()
+        matrix = CorrelationMatrix({"a": {0}, "b": {0}})
         with pytest.raises(RuntimeError, match="numpy is not installed"):
-            ShardedPipeline(store, kernel=KERNEL_NUMPY)
+            agglomerate_component(matrix, {"a", "b"}, "complete", kernel=KERNEL_NUMPY)
 
     def test_auto_pipeline_still_clusters(self, no_numpy):
         store = _hot_component_store(groups=20, keys=20)
-        pipeline = ShardedPipeline(store)  # kernel="auto"
+        pipeline = ShardedPipeline(store)
         clusters = pipeline.update()
         assert _key_sets(clusters) == _key_sets(cluster_settings(store))
         assert not pipeline.last_stats.kernel_used

@@ -318,33 +318,38 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError):
             ShardedPipeline.from_state(TTKV(), {"version": 99})
 
-    def test_checkpoints_are_written_at_version_4(self):
+    def test_checkpoints_are_written_at_version_5(self):
         pipeline = ShardedPipeline(TTKV(), shard_prefixes=("a/",))
-        assert pipeline.to_state()["version"] == STATE_VERSION == 4
+        assert pipeline.to_state()["version"] == STATE_VERSION == 5
         pipeline.close()
 
-    def test_v3_checkpoint_rejected(self):
-        # version 3 also recorded the shard-journal backend in its params
+    def _relabelled(self, version, **params):
         store = TTKV()
         store.record_write("a/x", 1, 10.0)
         pipeline = ShardedPipeline(store, shard_prefixes=("a/",))
         pipeline.update()
         state = json.loads(json.dumps(pipeline.to_state()))
         pipeline.close()
-        state["version"] = 3
+        state["version"] = version
+        state["params"].update(params)
+        return store, state
+
+    def test_v4_checkpoint_rejected(self):
+        # version 4 also recorded the repair mode and kernel in its params
+        store, state = self._relabelled(4, kernel="auto")
+        with pytest.raises(CheckpointError, match="unsupported .* version 4"):
+            ShardedPipeline.from_state(store, state)
+
+    def test_v3_checkpoint_rejected(self):
+        # version 3 also recorded the shard-journal backend in its params
+        store, state = self._relabelled(3, journal_backend="list")
         with pytest.raises(CheckpointError, match="unsupported .* version 3"):
             ShardedPipeline.from_state(store, state)
 
     def test_legacy_v1_checkpoint_rejected(self):
-        # versions 1 to 3 are no longer loaded (1 kept the full group
+        # versions 1 to 4 are no longer loaded (1 kept the full group
         # history and no compacted baseline)
-        store = TTKV()
-        store.record_write("a/x", 1, 10.0)
-        pipeline = ShardedPipeline(store, shard_prefixes=("a/",))
-        pipeline.update()
-        legacy = json.loads(json.dumps(pipeline.to_state()))
-        legacy["version"] = 1
-        pipeline.close()
+        store, legacy = self._relabelled(1)
         with pytest.raises(CheckpointError, match="unsupported .* version 1"):
             ShardedPipeline.from_state(store, legacy)
 

@@ -214,6 +214,34 @@ def test_silent_and_trickling_clients_answered_408(monkeypatch):
     assert trickled.startswith(b"HTTP/1.1 408 ")
 
 
+def test_connections_over_the_cap_answered_503(monkeypatch):
+    monkeypatch.setattr(api, "MAX_CONNECTIONS", 2, raising=False)
+    fleet = FleetPipeline()
+
+    async def scenario():
+        async with FleetQueryServer(fleet) as server:
+            host, port = server.address
+            # two idle clients hold every slot, each in its read timeout
+            idle = [await asyncio.open_connection(host, port) for _ in range(2)]
+            await asyncio.sleep(0.1)  # let the server start both handlers
+            # the third sends nothing: only the cap can answer it in time
+            reader, writer = await asyncio.open_connection(host, port)
+            over = await asyncio.wait_for(reader.read(), 2)
+            writer.close()
+            for idle_reader, idle_writer in idle:
+                idle_writer.write_eof()
+                await asyncio.wait_for(idle_reader.read(), 2)  # their 400
+                idle_writer.close()
+            return over, await asyncio.wait_for(_get(host, port, "/health"), 2)
+
+    over, (status, payload) = asyncio.run(scenario())
+    fleet.close()
+    assert over.startswith(b"HTTP/1.1 503 Service Unavailable")
+    assert b"connections in flight" in over
+    assert status == 200
+    assert payload["status"] == "ok"
+
+
 def test_query_string_is_ignored_and_address_requires_start():
     fleet = FleetPipeline()
     fleet.add_machine("m0", TTKV(), _PREFIXES)

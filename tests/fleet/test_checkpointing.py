@@ -218,17 +218,28 @@ class TestFleetRoundTrip:
         with pytest.raises(CheckpointError, match="unsupported fleet state version 1"):
             FleetPipeline.from_state_dir(tmp_path, {"m0": store})
 
-    def test_v2_manifest_rejected(self, tmp_path):
-        # version 2 also recorded the shard-journal backend in its params
+    def _relabelled_manifest(self, tmp_path, version, **params):
         fleet = self._fleet(self.EVENTS)
         fleet.to_state_dir(tmp_path)
         fleet.close()
         manifest = json.loads((tmp_path / "fleet.json").read_text())
-        assert manifest["version"] == 3
-        manifest["version"] = 2
+        assert manifest["version"] == 4
+        manifest["version"] = version
+        manifest["params"].update(params)
         (tmp_path / "fleet.json").write_text(json.dumps(manifest))
         store = TTKV()
         store.record_events(self.EVENTS)
+        return store
+
+    def test_v3_manifest_rejected(self, tmp_path):
+        # version 3 also recorded the kernel in its params
+        store = self._relabelled_manifest(tmp_path, 3, kernel="auto")
+        with pytest.raises(CheckpointError, match="unsupported fleet state version 3"):
+            FleetPipeline.from_state_dir(tmp_path, {"m0": store})
+
+    def test_v2_manifest_rejected(self, tmp_path):
+        # version 2 also recorded the shard-journal backend in its params
+        store = self._relabelled_manifest(tmp_path, 2, kernel="auto")
         with pytest.raises(CheckpointError, match="unsupported fleet state version 2"):
             FleetPipeline.from_state_dir(tmp_path, {"m0": store})
 

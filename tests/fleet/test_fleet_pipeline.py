@@ -304,3 +304,17 @@ def test_drive_rejects_feeds_for_unknown_machines():
 def test_max_lag_validation():
     with pytest.raises(ValueError, match="max_lag"):
         FleetPipeline(max_lag=0)
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"linkage": "bogus"}, "unknown linkage"),
+        ({"window": -1}, "window must be non-negative"),
+    ],
+)
+def test_clustering_params_validated_at_construction(params, message):
+    # a bad parameter must fail here, not at the first merge after
+    # evidence arrives
+    with pytest.raises(ValueError, match=message):
+        FleetPipeline(**params)

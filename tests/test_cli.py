@@ -70,14 +70,6 @@ class TestStreamFlags:
         args = build_parser().parse_args(["stream"])
         assert args.timings is False
 
-    def test_kernel_parses_and_defaults_to_checkpoint_friendly_none(self):
-        assert build_parser().parse_args(["stream"]).kernel is None
-        args = build_parser().parse_args(["stream", "--kernel", "numpy"])
-        assert args.kernel == "numpy"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--kernel", "fortran"])
 
 
 class TestStreamCommand:
@@ -104,15 +96,25 @@ class TestStreamCommand:
         lines = self._run(capsys, "--timings")
         assert any("ingest" in line and "append + routing" in line for line in lines)
 
-    def test_identical_output_across_kernels(self, capsys):
-        """Same clusters and progress whatever the agglomeration kernel."""
+    def test_identical_output_across_kernels(self, capsys, monkeypatch):
+        """Same clusters and progress whatever the agglomeration kernel.
+
+        The size threshold decides the dispatch: 0 sends every component
+        to the numpy kernel, an unreachable size keeps all on Python.
+        """
         pytest.importorskip(
-            "numpy", reason="--kernel numpy needs numpy", exc_type=ImportError
+            "numpy", reason="the numpy kernel needs numpy", exc_type=ImportError
         )
-        outputs = {
-            kernel: self._run(capsys, "--kernel", kernel)
-            for kernel in ("auto", "numpy", "python")
-        }
+        import repro.core.hac_kernel as hac_kernel
+
+        outputs = {}
+        for label, threshold in (
+            ("auto", hac_kernel.KERNEL_SIZE_THRESHOLD),
+            ("numpy", 0),
+            ("python", 10**9),
+        ):
+            monkeypatch.setattr(hac_kernel, "KERNEL_SIZE_THRESHOLD", threshold)
+            outputs[label] = self._run(capsys)
         assert outputs["auto"] == outputs["numpy"] == outputs["python"]
 
 
