@@ -77,9 +77,9 @@ def _best(fn) -> tuple[float, object]:
 
 def _matrix_fingerprint(matrix: CorrelationMatrix) -> tuple:
     return (
-        dict(matrix._base_counts),
-        dict(matrix._base_common),
-        matrix._compacted_count,
+        matrix.pairwise_counts(),
+        matrix.compacted_state(),
+        matrix.compacted_groups,
         sorted(map(sorted, matrix.connected_components())),
     )
 

@@ -357,7 +357,6 @@ def _timing_suffix(stats) -> str:
 
 
 def _cmd_stream(args) -> str:
-    import json
     import time
     from pathlib import Path
 

@@ -70,12 +70,17 @@ def check_clustering_params(
     """
     if window < 0:
         raise ValueError(f"window must be non-negative, got {window}")
+    check_correlation_threshold(correlation_threshold)
+    check_linkage(linkage)
+
+
+def check_correlation_threshold(correlation_threshold: float) -> None:
+    """The paper's correlation scale: a threshold must lie in ``(0, 2]``."""
     if not 0.0 < correlation_threshold <= 2.0:
         raise ValueError(
             "correlation threshold must lie in (0, 2], "
             f"got {correlation_threshold}"
         )
-    check_linkage(linkage)
 
 
 def hac_complete_linkage(matrix: CorrelationMatrix) -> Dendrogram:
@@ -338,10 +343,7 @@ def flat_clusters(
     (default 2 = "only cluster keys always modified together"); it is
     converted to the equivalent distance internally.
     """
-    if not 0.0 < correlation_threshold <= 2.0:
-        raise ValueError(
-            f"correlation threshold must lie in (0, 2], got {correlation_threshold}"
-        )
+    check_correlation_threshold(correlation_threshold)
     max_distance = correlation_to_distance(correlation_threshold)
     return hac(matrix, linkage=linkage, kernel=kernel).cut(max_distance)
 

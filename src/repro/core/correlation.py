@@ -71,20 +71,24 @@ class CorrelationMatrix:
     co-modifies can never merge, so the finite-distance graph's connected
     components bound every cluster.
 
-    Internally the matrix counts — per key the number of write groups it
-    appears in, per co-occurring pair the size of the intersection — so a
-    correlation query is O(1) and the matrix can be updated **in place** as
-    new write groups stream in (:meth:`observe_group`) or a provisional
-    trailing group is replaced (:meth:`retract_group`).  The incremental
-    clustering pipeline relies on these updates to avoid rebuilding the
-    matrix from scratch on every new event.
+    Every correlation is a pure function of counts, so the matrix keeps
+    one count table: ``_counts[key]`` is the number of write groups the
+    key appears in and ``_adj[a][b]`` (stored in both directions) the
+    number of groups the pair shares.  A key's adjacency row is its
+    neighbour set, so a correlation query is O(1) and a distance-block row
+    is one dict read.  The counts are *effective*: they cover every group
+    observed, whether it is still retained (retractable, its member set
+    kept in ``_group_members``) or already compacted away.  The matrix is
+    updated **in place** as new write groups stream in
+    (:meth:`observe_group`) or a provisional trailing group is replaced
+    (:meth:`retract_group`); the incremental clustering pipeline relies on
+    these updates to avoid rebuilding the matrix on every new event.
     """
 
     def __init__(self, key_groups: Mapping[str, set[int]] | None = None) -> None:
-        self._key_groups: dict[str, set[int]] = {}
+        self._counts: dict[str, int] = {}
+        self._adj: dict[str, dict[str, int]] = {}
         self._group_members: dict[int, frozenset[str]] = {}
-        self._common: dict[frozenset[str], int] = {}
-        self._neighbors: dict[str, set[str]] = {}
         # Connected components are maintained in a union-find so component
         # queries cost O(α) instead of a full graph traversal.  Union-find
         # cannot split, so a *lossy* update (an edge or key actually
@@ -105,14 +109,8 @@ class CorrelationMatrix:
         self._blocks: dict[frozenset[str], "object"] = {}
         self._block_of_key: dict[str, frozenset[str]] = {}
         self._block_dirty: dict[frozenset[str], set[str]] = {}
-        # Compaction baseline: groups older than the retractable tail are
-        # coalesced into the per-key and per-pair counts they imply
-        # (:meth:`compact`), so neither the in-memory group registry nor a
-        # checkpoint has to carry one entry per consumed group forever.
-        # Every query folds the baseline back in, so a compacted matrix is
-        # observationally identical to the uncompacted one.
-        self._base_counts: dict[str, int] = {}
-        self._base_common: dict[frozenset[str], int] = {}
+        # Compaction bookkeeping (:meth:`compact`): how many groups gave up
+        # their member sets, and the index below which none is retained.
         self._compacted_count = 0
         self._compact_floor = 0
         if key_groups:
@@ -121,10 +119,11 @@ class CorrelationMatrix:
                     raise ValueError(f"key {key!r} has no write groups")
             # Invert to group -> member keys and replay as observations so
             # batch construction and streaming growth share one code path.
+            # Keys are registered first so the key order is the mapping's.
             by_group: dict[int, list[str]] = {}
             for key, groups in key_groups.items():
-                self._key_groups[key] = set()
-                self._neighbors[key] = set()
+                self._counts[key] = 0
+                self._adj[key] = {}
                 for index in groups:
                     by_group.setdefault(index, []).append(key)
             self.update_groups(added=sorted(by_group.items()))
@@ -183,82 +182,92 @@ class CorrelationMatrix:
                 raise ValueError(f"group {index} has no keys")
             if index in self._group_members and index not in removed_indices:
                 raise ValueError(f"group {index} already observed")
-            if index < self._compact_floor:
+            # a retained group replaced in this call was never compacted,
+            # even when a batch fold has since raised the floor past it
+            if index < self._compact_floor and index not in removed_indices:
                 raise ValueError(
                     f"group {index} lies below the compaction floor "
                     f"{self._compact_floor}; compacted indices cannot be "
                     "reused"
                 )
 
+        counts = self._counts
+        adj = self._adj
         dirty: set[str] = set()
-        lost_pairs: set[frozenset[str]] = set()
+        lost_pairs: set[tuple[str, str]] = set()
         lost_keys: set[str] = set()
         for index, members in removed:
             dirty.update(members)
             for position, key_a in enumerate(members):
+                row_a = adj[key_a]
                 for key_b in members[position + 1:]:
-                    pair = frozenset((key_a, key_b))
-                    remaining = self._common[pair] - 1
+                    remaining = row_a[key_b] - 1
                     if remaining:
-                        self._common[pair] = remaining
+                        row_a[key_b] = adj[key_b][key_a] = remaining
                     else:
-                        del self._common[pair]
-                        if not self._base_common.get(pair):
-                            self._neighbors[key_a].discard(key_b)
-                            self._neighbors[key_b].discard(key_a)
-                            lost_pairs.add(pair)
+                        del row_a[key_b], adj[key_b][key_a]
+                        lost_pairs.add((key_a, key_b))
             for key in members:
-                groups = self._key_groups[key]
-                groups.remove(index)
-                if not groups and not self._base_counts.get(key):
-                    del self._key_groups[key]
-                    del self._neighbors[key]
+                remaining = counts[key] - 1
+                if remaining:
+                    counts[key] = remaining
+                else:
+                    del counts[key], adj[key]
                     lost_keys.add(key)
             del self._group_members[index]
         for index, members in added:
             dirty.update(members)
             self._group_members[index] = frozenset(members)
             for key in members:
-                self._key_groups.setdefault(key, set()).add(index)
-                self._neighbors.setdefault(key, set())
-                lost_keys.discard(key)
+                if key in counts:
+                    counts[key] += 1
+                else:
+                    counts[key] = 1
+                    adj[key] = {}
+                    lost_keys.discard(key)
             for position, key_a in enumerate(members):
+                row_a = adj[key_a]
                 for key_b in members[position + 1:]:
-                    pair = frozenset((key_a, key_b))
-                    self._common[pair] = self._common.get(pair, 0) + 1
-                    self._neighbors[key_a].add(key_b)
-                    self._neighbors[key_b].add(key_a)
-                    lost_pairs.discard(pair)
+                    shared = row_a.get(key_b, 0) + 1
+                    row_a[key_b] = adj[key_b][key_a] = shared
+                    if shared == 1:
+                        lost_pairs.discard((key_a, key_b))
         if lost_pairs or lost_keys:
             # A co-occurrence edge or a key is really gone: the union-find
             # cannot un-merge, so flag it for a rebuild at the next
             # component query and tell engines their cached component
             # structure is void.  Cached distance blocks go with it —
             # rows could silently keep edges the retraction removed.
-            self._uf_stale = True
-            self._structure_version += 1
-            self._blocks.clear()
-            self._block_of_key.clear()
-            self._block_dirty.clear()
+            self._invalidate_structure()
         else:
             if not self._uf_stale:
                 for index, members in added:
                     self._uf.union_many(members)
-            if self._blocks:
-                for key in dirty:
-                    covering = self._block_of_key.get(key)
-                    if covering is not None:
-                        self._block_dirty.setdefault(covering, set()).add(key)
+            self._mark_blocks_dirty(dirty)
         return dirty
+
+    def _invalidate_structure(self) -> None:
+        self._uf_stale = True
+        self._structure_version += 1
+        self._blocks.clear()
+        self._block_of_key.clear()
+        self._block_dirty.clear()
+
+    def _mark_blocks_dirty(self, dirty: set[str]) -> None:
+        if self._blocks:
+            for key in dirty:
+                covering = self._block_of_key.get(key)
+                if covering is not None:
+                    self._block_dirty.setdefault(covering, set()).add(key)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def keys(self) -> list[str]:
-        return list(self._key_groups)
+        return list(self._counts)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._key_groups
+        return key in self._counts
 
     def observed_groups(self) -> dict[int, frozenset[str]]:
         """Every *retained* group's member set, by index (a fresh dict).
@@ -272,14 +281,6 @@ class CorrelationMatrix:
 
     # -- compaction ----------------------------------------------------------
 
-    def _count_of(self, key: str) -> int:
-        """Effective group count: retained groups plus the compacted base."""
-        return len(self._key_groups[key]) + self._base_counts.get(key, 0)
-
-    def _common_of(self, pair: frozenset[str]) -> int:
-        """Effective intersection count: retained plus compacted."""
-        return self._common.get(pair, 0) + self._base_common.get(pair, 0)
-
     @property
     def compacted_groups(self) -> int:
         """How many groups have been folded into the aggregate baseline."""
@@ -291,52 +292,35 @@ class CorrelationMatrix:
         return self._compact_floor
 
     def compact(self, keep_from: int) -> int:
-        """Coalesce groups with ``index < keep_from`` into aggregate counts.
+        """Forget the member sets of groups with ``index < keep_from``.
 
         Every correlation is a pure function of per-key group counts and
-        per-pair intersection counts, so a closed group that will never be
-        retracted does not need its member list kept around: its
-        contribution is folded into the per-key / per-pair baseline and
-        the registration is dropped.  No query result changes — distances,
-        neighbours, components and cached distance blocks are all exactly
-        as before — only :meth:`retract_group` on a compacted index now
-        fails (callers keep the retractable tail above ``keep_from``; the
-        streaming engine keeps exactly its provisional trailing group).
+        per-pair intersection counts, and the count table already holds
+        every group's contribution, so a closed group that will never be
+        retracted does not need its member list kept around: compaction
+        just drops the registration.  No query result changes — counts,
+        distances, neighbours, components and cached distance blocks are
+        all exactly as before — only :meth:`retract_group` on a compacted
+        index now fails (callers keep the retractable tail above
+        ``keep_from``; the streaming engine keeps exactly its provisional
+        trailing group).
 
         Returns the number of groups compacted by this call.  Idempotent:
         re-calling with the same ``keep_from`` compacts nothing.
         """
-        victims = sorted(
-            index for index in self._group_members if index < keep_from
-        )
-        self._fold_groups(victims)
+        victims = [index for index in self._group_members if index < keep_from]
+        for index in victims:
+            del self._group_members[index]
         self._compacted_count += len(victims)
         if keep_from > self._compact_floor:
             self._compact_floor = keep_from
         return len(victims)
 
-    def _fold_groups(self, victims: Iterable[int]) -> None:
-        """Move registered groups into the aggregate baseline (no queries change)."""
-        for index in victims:
-            members = sorted(self._group_members.pop(index))
-            for key in members:
-                self._key_groups[key].discard(index)
-                self._base_counts[key] = self._base_counts.get(key, 0) + 1
-            for position, key_a in enumerate(members):
-                for key_b in members[position + 1:]:
-                    pair = frozenset((key_a, key_b))
-                    self._base_common[pair] = self._base_common.get(pair, 0) + 1
-                    remaining = self._common[pair] - 1
-                    if remaining:
-                        self._common[pair] = remaining
-                    else:
-                        del self._common[pair]
-
     def observe_groups_batch(
         self, start_index: int, groups: Iterable[Iterable[str]]
     ) -> set[str]:
         """Fold a contiguous run of *final* write groups straight into the
-        aggregate baseline — the vectorized bulk-ingest path.
+        count table — the vectorized bulk-ingest path.
 
         Observationally identical to ``observe_group`` for indices
         ``start_index .. start_index + n - 1`` followed by compacting
@@ -378,25 +362,27 @@ class CorrelationMatrix:
                     for offset, members in enumerate(prepared)
                 ]
             )
-            self._fold_groups(range(start_index, start_index + count))
-            self._compacted_count += count
-            if start_index + count > self._compact_floor:
-                self._compact_floor = start_index + count
-            return dirty
+            for index in range(start_index, start_index + count):
+                del self._group_members[index]
+        else:
+            dirty = self._fold_batch(prepared, total)
+        self._compacted_count += count
+        if start_index + count > self._compact_floor:
+            self._compact_floor = start_index + count
+        return dirty
 
+    def _fold_batch(self, prepared: list[list[str]], total: int) -> set[str]:
+        """Vectorised body of :meth:`observe_groups_batch` (growth only)."""
+        count = len(prepared)
         # Integer-encode the batch: one code per distinct key, one flat
         # array of per-group member codes.
         code_of: dict[str, int] = {}
-        names: list[str] = []
-        flat: list[int] = []
-        for members in prepared:
-            for key in members:
-                code = code_of.get(key)
-                if code is None:
-                    code = len(names)
-                    code_of[key] = code
-                    names.append(key)
-                flat.append(code)
+        flat = [
+            code_of.setdefault(key, len(code_of))
+            for members in prepared
+            for key in members
+        ]
+        names = list(code_of)
         codes = _np.asarray(flat, dtype=_np.int64)
         lengths = _np.fromiter(
             (len(members) for members in prepared), dtype=_np.intp, count=count
@@ -425,104 +411,84 @@ class CorrelationMatrix:
                 low * _np.int64(len(names)) + high, return_counts=True
             )
 
-        # Apply the aggregated counts — the same writes observe+compact
-        # would have netted to, without materialising the groups.
-        base_counts = self._base_counts
-        key_groups = self._key_groups
-        neighbors = self._neighbors
+        # Scatter the aggregated counts into the table — the same writes
+        # observe+compact would have netted to, without the groups.
+        counts = self._counts
+        adj = self._adj
         union_live = not self._uf_stale
         for name, occurrences in zip(names, key_counts.tolist()):
-            base_counts[name] = base_counts.get(name, 0) + occurrences
-            key_groups.setdefault(name, set())
-            neighbors.setdefault(name, set())
+            known = counts.get(name)
+            if known is None:
+                counts[name] = occurrences
+                adj[name] = {}
+            else:
+                counts[name] = known + occurrences
             if union_live:
                 self._uf.add(name)
-        if union_live:
-            # Groups are cliques, so their connectivity is fully captured
-            # by a throwaway integer union-find over the local codes; only
-            # the resulting local components (usually a handful) are merged
-            # into the incremental global structure.
-            parent = list(range(len(names)))
-
-            def _root(code: int) -> int:
-                while parent[code] != code:
-                    parent[code] = parent[parent[code]]
-                    code = parent[code]
-                return code
-
-            at = 0
-            for members in prepared:
-                size = len(members)
-                if size > 1:
-                    anchor = _root(flat[at])
-                    for offset in range(at + 1, at + size):
-                        other = _root(flat[offset])
-                        if other != anchor:
-                            parent[other] = anchor
-                at += size
-            local_components: dict[int, list[str]] = {}
-            for code, name in enumerate(names):
-                local_components.setdefault(_root(code), []).append(name)
-            for component in local_components.values():
-                if len(component) > 1:
-                    self._uf.union_many(component)
         if pair_codes is not None:
-            base_common = self._base_common
             width = len(names)
             for key_a, key_b, occurrences in zip(
                 [names[c] for c in (pair_codes // width).tolist()],
                 [names[c] for c in (pair_codes % width).tolist()],
                 pair_counts.tolist(),
             ):
-                pair = frozenset((key_a, key_b))
-                known = base_common.get(pair)
-                if known is None:
-                    base_common[pair] = occurrences
-                    neighbors[key_a].add(key_b)
-                    neighbors[key_b].add(key_a)
-                else:
-                    base_common[pair] = known + occurrences
+                row_a = adj[key_a]
+                shared = row_a.get(key_b)
+                if shared is None:
+                    shared = 0
+                    if union_live:  # only a new edge can join components
+                        self._uf.union(key_a, key_b)
+                row_a[key_b] = adj[key_b][key_a] = shared + occurrences
         dirty = set(names)
-        if self._blocks:
-            for key in dirty:
-                covering = self._block_of_key.get(key)
-                if covering is not None:
-                    self._block_dirty.setdefault(covering, set()).add(key)
-        self._compacted_count += count
-        if start_index + count > self._compact_floor:
-            self._compact_floor = start_index + count
+        self._mark_blocks_dirty(dirty)
         return dirty
 
-    def compacted_state(self) -> dict | None:
-        """JSON-safe aggregate baseline, or ``None`` when nothing compacted.
+    def _retained_counts(self) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+        """The retained groups' share of the counts (pairs as sorted tuples)."""
+        keys: dict[str, int] = {}
+        pairs: dict[tuple[str, str], int] = {}
+        for group in self._group_members.values():
+            members = sorted(group)
+            for position, key_a in enumerate(members):
+                keys[key_a] = keys.get(key_a, 0) + 1
+                for key_b in members[position + 1:]:
+                    pairs[(key_a, key_b)] = pairs.get((key_a, key_b), 0) + 1
+        return keys, pairs
 
-        Pairs with :meth:`install_compacted`: replay
-        :meth:`observed_groups` on an empty matrix, install this, and the
-        result is observationally identical to this matrix — the
-        checkpoint stays O(live keys + live pairs) no matter how many
-        groups the session has consumed.
+    def compacted_state(self) -> dict | None:
+        """JSON-safe aggregate baseline, or ``None`` when there is none.
+
+        The baseline is what the count table holds beyond the retained
+        groups' contributions, derived here at save time.  Pairs with
+        :meth:`install_compacted`: replay :meth:`observed_groups` on an
+        empty matrix, install this, and the result is observationally
+        identical to this matrix — the checkpoint stays O(live keys + live
+        pairs) no matter how many groups the session has consumed.
         """
-        if not self._compacted_count:
+        retained_keys, retained_pairs = self._retained_counts()
+        keys = [
+            [key, self._counts[key] - retained_keys.get(key, 0)]
+            for key in sorted(self._counts)
+        ]
+        pairs = [
+            [key_a, key_b, shared - retained_pairs.get((key_a, key_b), 0)]
+            for key_a in sorted(self._adj)
+            for key_b, shared in sorted(self._adj[key_a].items())
+            if key_a < key_b
+        ]
+        keys = [entry for entry in keys if entry[1]]
+        pairs = [entry for entry in pairs if entry[2]]
+        if not (self._compacted_count or self._compact_floor or keys or pairs):
             return None
         return {
             "count": self._compacted_count,
             "floor": self._compact_floor,
-            "keys": [
-                [key, count]
-                for key, count in sorted(self._base_counts.items())
-                if count
-            ],
-            "pairs": [
-                [*sorted(pair), count]
-                for pair, count in sorted(
-                    self._base_common.items(), key=lambda item: sorted(item[0])
-                )
-                if count
-            ],
+            "keys": keys,
+            "pairs": pairs,
         }
 
     def install_compacted(self, state: dict) -> None:
-        """Adopt a :meth:`compacted_state` baseline into this matrix.
+        """Add a :meth:`compacted_state` baseline into this matrix.
 
         Must run after the retained groups have been replayed (the
         checkpoint-restore path); keys and pairs that exist only in the
@@ -535,12 +501,16 @@ class CorrelationMatrix:
             raise ValueError(f"compacted state out of range: {state!r}")
         self._compacted_count = count
         self._compact_floor = max(self._compact_floor, floor)
+        counts = self._counts
+        adj = self._adj
         for key, key_count in state["keys"]:
             if int(key_count) < 1:
                 raise ValueError(f"compacted count for {key!r} must be >= 1")
-            self._base_counts[key] = int(key_count)
-            self._key_groups.setdefault(key, set())
-            self._neighbors.setdefault(key, set())
+            if key in counts:
+                counts[key] += int(key_count)
+            else:
+                counts[key] = int(key_count)
+                adj[key] = {}
             if not self._uf_stale:
                 self._uf.add(key)
         for key_a, key_b, pair_count in state["pairs"]:
@@ -550,13 +520,12 @@ class CorrelationMatrix:
                     "must be >= 1"
                 )
             for key in (key_a, key_b):
-                if key not in self._key_groups:
+                if key not in counts:
                     raise ValueError(
                         f"compacted pair names unknown key {key!r}"
                     )
-            self._base_common[frozenset((key_a, key_b))] = int(pair_count)
-            self._neighbors[key_a].add(key_b)
-            self._neighbors[key_b].add(key_a)
+            row_a = adj[key_a]
+            row_a[key_b] = adj[key_b][key_a] = row_a.get(key_b, 0) + int(pair_count)
             if not self._uf_stale:
                 self._uf.union_many((key_a, key_b))
 
@@ -578,19 +547,20 @@ class CorrelationMatrix:
         method, summed across machines keyed by canonical key identity,
         and re-installed via :meth:`apply_count_deltas`.
         """
-        counts = {key: self._count_of(key) for key in self._key_groups}
-        common: dict[tuple[str, str], int] = {}
-        for pair in self._common.keys() | self._base_common.keys():
-            key_a, key_b = sorted(pair)
-            common[(key_a, key_b)] = self._common_of(pair)
-        return counts, common
+        common = {
+            (key_a, key_b): shared
+            for key_a, row in self._adj.items()
+            for key_b, shared in row.items()
+            if key_a < key_b
+        }
+        return dict(self._counts), common
 
     def apply_count_deltas(
         self,
         key_deltas: Mapping[str, int],
         pair_deltas: Mapping[tuple[str, str], int],
     ) -> set[str]:
-        """Adjust the aggregate baseline by signed evidence deltas.
+        """Adjust the effective counts by signed evidence deltas.
 
         The fleet-merge analog of :meth:`update_groups`: instead of
         observing write groups, the caller supplies how much each key's
@@ -604,11 +574,12 @@ class CorrelationMatrix:
         O(α) incremental path.
 
         The whole batch is validated before any state is touched: a delta
-        driving a count negative, a pair delta naming a key absent after
-        the key deltas apply, or a pair delta on a never-observed pair
-        with a non-positive value all raise ``ValueError`` and leave the
-        matrix unchanged.  Returns the dirty key set (every key whose
-        correlations may have changed), like :meth:`update_groups`.
+        driving a count negative or below the retained groups' share, a
+        pair delta naming a key absent after the key deltas apply, or a
+        key removed while one of its pairs stays non-zero all raise
+        ``ValueError`` and leave the matrix unchanged.  Returns the dirty
+        key set (every key whose correlations may have changed), like
+        :meth:`update_groups`.
         """
         keyed = {key: int(delta) for key, delta in key_deltas.items() if delta}
         paired = {
@@ -616,43 +587,41 @@ class CorrelationMatrix:
             for pair, delta in pair_deltas.items()
             if delta
         }
+        counts = self._counts
+        adj = self._adj
+        retained_keys, retained_pairs = self._retained_counts()
         next_counts: dict[str, int] = {}
         for key, delta in keyed.items():
-            current = self._count_of(key) if key in self._key_groups else 0
+            current = counts.get(key, 0)
             if current + delta < 0:
                 raise ValueError(
                     f"count delta {delta} for {key!r} drives its group "
                     f"count below zero (currently {current})"
                 )
-            if current + delta < len(self._key_groups.get(key, ())):
+            if current + delta < retained_keys.get(key, 0):
                 raise ValueError(
                     f"count delta {delta} for {key!r} cuts into retained "
                     "groups; retract them instead"
                 )
             next_counts[key] = current + delta
-        surviving = set(self._key_groups) - {
-            key for key, total in next_counts.items() if total == 0
-        }
-        surviving.update(key for key, total in next_counts.items() if total)
         next_common: dict[tuple[str, str], int] = {}
         for (key_a, key_b), delta in paired.items():
             if key_a == key_b:
                 raise ValueError(f"pair delta names a single key {key_a!r}")
-            pair = frozenset((key_a, key_b))
-            current = self._common_of(pair)
+            current = adj[key_a].get(key_b, 0) if key_a in adj else 0
             if current + delta < 0:
                 raise ValueError(
                     f"intersection delta {delta} for {key_a!r}/{key_b!r} "
                     f"drives the pair count below zero (currently {current})"
                 )
-            if current + delta < self._common.get(pair, 0):
+            if current + delta < retained_pairs.get((key_a, key_b), 0):
                 raise ValueError(
                     f"intersection delta {delta} for {key_a!r}/{key_b!r} "
                     "cuts into retained groups; retract them instead"
                 )
             if current + delta > 0:
                 for key in (key_a, key_b):
-                    if key not in surviving:
+                    if not next_counts.get(key, counts.get(key, 0)):
                         raise ValueError(
                             f"pair delta for {key_a!r}/{key_b!r} names key "
                             f"{key!r}, which has no group count"
@@ -660,7 +629,7 @@ class CorrelationMatrix:
             next_common[(key_a, key_b)] = current + delta
         for key, total in next_counts.items():
             if total == 0:
-                for other in self._neighbors.get(key, ()):
+                for other in adj.get(key, ()):
                     if next_common.get((min(key, other), max(key, other))) != 0:
                         raise ValueError(
                             f"count delta removes {key!r} but leaves its "
@@ -669,56 +638,31 @@ class CorrelationMatrix:
                         )
 
         dirty: set[str] = set(keyed)
-        lost_keys: set[str] = set()
+        lost_keys = [key for key, total in next_counts.items() if total == 0]
         lost_pairs = False
         for key, total in next_counts.items():
-            if key not in self._key_groups:
-                self._key_groups[key] = set()
-                self._neighbors[key] = set()
+            if key not in counts:
+                adj[key] = {}
                 if not self._uf_stale:
                     self._uf.add(key)
-            self._base_counts[key] = total - len(self._key_groups[key])
-            if not self._base_counts[key]:
-                del self._base_counts[key]
-            if total == 0:
-                lost_keys.add(key)
+            counts[key] = total
         for (key_a, key_b), total in next_common.items():
             dirty.update((key_a, key_b))
-            pair = frozenset((key_a, key_b))
-            retained = self._common.get(pair, 0)
-            base = total - retained
-            if base:
-                self._base_common[pair] = base
-            else:
-                self._base_common.pop(pair, None)
+            row_a = adj[key_a]
             if total:
-                newly = key_b not in self._neighbors[key_a]
-                self._neighbors[key_a].add(key_b)
-                self._neighbors[key_b].add(key_a)
-                if newly and not self._uf_stale:
+                if key_b not in row_a and not self._uf_stale:
                     self._uf.union_many((key_a, key_b))
-            elif retained == 0:
-                self._neighbors[key_a].discard(key_b)
-                self._neighbors[key_b].discard(key_a)
+                row_a[key_b] = adj[key_b][key_a] = total
+            else:
+                del row_a[key_b], adj[key_b][key_a]
                 lost_pairs = True
         for key in lost_keys:
-            if self._neighbors[key]:
-                for other in self._neighbors[key]:
-                    self._neighbors[other].discard(key)
-                lost_pairs = True
-            del self._key_groups[key]
-            del self._neighbors[key]
+            # validation zeroed every pair of a removed key: its row is empty
+            del counts[key], adj[key]
         if lost_pairs or lost_keys:
-            self._uf_stale = True
-            self._structure_version += 1
-            self._blocks.clear()
-            self._block_of_key.clear()
-            self._block_dirty.clear()
-        elif self._blocks:
-            for key in dirty:
-                covering = self._block_of_key.get(key)
-                if covering is not None:
-                    self._block_dirty.setdefault(covering, set()).add(key)
+            self._invalidate_structure()
+        else:
+            self._mark_blocks_dirty(dirty)
         return dirty
 
     @property
@@ -735,12 +679,11 @@ class CorrelationMatrix:
 
     def _rebuild_union_find(self) -> None:
         uf = UnionFind()
-        for key in self._key_groups:
+        for key in self._adj:
             uf.add(key)
-        for members in self._group_members.values():
-            uf.union_many(members)
-        for pair in self._base_common:
-            uf.union_many(pair)
+        for key, row in self._adj.items():
+            if row:
+                uf.union_many((key, *row))
         self._uf = uf
         self._uf_stale = False
 
@@ -762,7 +705,7 @@ class CorrelationMatrix:
     def group_count(self, key: str) -> int:
         """Number of write groups ``key`` appears in (the metric's ``|A|``)."""
         self._check(key)
-        return self._count_of(key)
+        return self._counts[key]
 
     def correlation_of(self, key_a: str, key_b: str) -> float:
         """Correlation between two keys (0 when they never co-modify)."""
@@ -770,10 +713,10 @@ class CorrelationMatrix:
             raise ValueError("correlation with itself is not meaningful")
         self._check(key_a)
         self._check(key_b)
-        common = self._common_of(frozenset((key_a, key_b)))
+        common = self._adj[key_a].get(key_b, 0)
         if not common:
             return 0.0
-        return common / self._count_of(key_a) + common / self._count_of(key_b)
+        return common / self._counts[key_a] + common / self._counts[key_b]
 
     def distance_of(self, key_a: str, key_b: str) -> float:
         return correlation_to_distance(self.correlation_of(key_a, key_b))
@@ -781,16 +724,15 @@ class CorrelationMatrix:
     def neighbors(self, key: str) -> set[str]:
         """Keys with non-zero correlation to ``key``."""
         self._check(key)
-        return set(self._neighbors[key])
+        return set(self._adj[key])
 
     def _check(self, key: str) -> None:
-        if key not in self._key_groups:
+        if key not in self._counts:
             raise KeyError(key)
 
     def finite_pairs(self) -> Iterable[tuple[str, str, float]]:
         """All stored (key_a, key_b, correlation) entries."""
-        for pair in self._common.keys() | self._base_common.keys():
-            key_a, key_b = sorted(pair)
+        for (key_a, key_b) in self.pairwise_counts()[1]:
             yield key_a, key_b, self.correlation_of(key_a, key_b)
 
     def component_distance_block(self, component: frozenset[str] | set[str]):
@@ -883,29 +825,26 @@ class CorrelationMatrix:
                 at = index[key]
                 square[at, :] = INFINITE_DISTANCE
                 square[:, at] = INFINITE_DISTANCE
+        counts = self._counts
         for key in refresh:
-            at = index[key]
-            neighbors = [n for n in self._neighbors[key] if n in index]
-            if not neighbors:
+            cols: list[int] = []
+            common: list[int] = []
+            others: list[int] = []
+            for other, shared in self._adj[key].items():
+                col = index.get(other)
+                if col is not None:
+                    cols.append(col)
+                    common.append(shared)
+                    others.append(counts[other])
+            if not cols:
                 continue
-            cols = np.fromiter(
-                (index[n] for n in neighbors),
-                dtype=np.intp,
-                count=len(neighbors),
-            )
-            common = np.fromiter(
-                (self._common_of(frozenset((key, n))) for n in neighbors),
-                dtype=np.float64,
-                count=len(neighbors),
-            )
-            counts = np.fromiter(
-                (self._count_of(n) for n in neighbors),
-                dtype=np.float64,
-                count=len(neighbors),
-            )
+            common_arr = np.array(common, dtype=np.float64)
             # identical IEEE-754 ops to correlation_of/correlation_to_distance
-            own_count = float(self._count_of(key))
-            values = 1.0 / (common / own_count + common / counts)
+            values = 1.0 / (
+                common_arr / float(counts[key])
+                + common_arr / np.array(others, dtype=np.float64)
+            )
+            at = index[key]
             square[at, cols] = values
             square[cols, at] = values
 
@@ -941,7 +880,7 @@ class CorrelationMatrix:
             )
         seen: set[str] = set()
         components: list[set[str]] = []
-        for start in self._key_groups:
+        for start in self._counts:
             if start in seen:
                 continue
             stack = [start]
@@ -951,13 +890,13 @@ class CorrelationMatrix:
                 if key in component:
                     continue
                 component.add(key)
-                stack.extend(self._neighbors[key] - component)
+                stack.extend(self._adj[key].keys() - component)
             seen |= component
             components.append(component)
         return components
 
     def __len__(self) -> int:
-        return len(self._key_groups)
+        return len(self._counts)
 
 
 class CorrelationMatrixView:

@@ -82,6 +82,15 @@ SUPPORTED_STATE_VERSIONS = (4,)
 _MACHINE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
+def _check_state_version(manifest: dict) -> None:
+    version = manifest.get("version")
+    if version not in SUPPORTED_STATE_VERSIONS:
+        raise CheckpointError(
+            f"unsupported fleet state version {version!r} "
+            f"(expected one of {SUPPORTED_STATE_VERSIONS})"
+        )
+
+
 @dataclass(frozen=True)
 class FleetUpdateStats:
     """What one synchronous :meth:`FleetPipeline.update` sweep did."""
@@ -757,13 +766,12 @@ class FleetPipeline:
             # torn root manifest: the generation directories are the
             # real source of truth, fall back to scanning them
             root = None
-        version = None if root is None else root.get("version")
-        if root is not None and version not in SUPPORTED_STATE_VERSIONS:
-            raise CheckpointError(
-                f"unsupported fleet state version {version!r} "
-                f"(expected one of {SUPPORTED_STATE_VERSIONS})"
-            )
+        if root is not None:
+            _check_state_version(root)
         manifest, machine_states = FleetCheckpointStore(directory).load()
+        # the manifest actually restored: with a torn root it is the
+        # newest generation's, which the root check above never saw
+        _check_state_version(manifest)
         try:
             params = manifest["params"]
             machine_ids = manifest["machines"]

@@ -22,14 +22,13 @@ _groups = st.lists(
 
 
 def _snapshot(matrix):
+    """Every public observable the batch and loop paths must agree on."""
     return (
-        dict(matrix._base_counts),
-        dict(matrix._base_common),
-        {k: set(v) for k, v in matrix._key_groups.items()},
-        {i: frozenset(m) for i, m in matrix._group_members.items()},
-        dict(matrix._common),
-        matrix._compacted_count,
-        matrix._compact_floor,
+        matrix.pairwise_counts(),
+        matrix.observed_groups(),
+        matrix.compacted_state(),
+        matrix.compacted_groups,
+        matrix.compact_floor,
         matrix.structure_version,
         sorted(map(sorted, matrix.connected_components())),
     )
@@ -59,7 +58,7 @@ def test_batch_matches_observe_then_compact(prefix, batch):
     assert dirty_l == dirty_r
     assert _snapshot(left) == _snapshot(right)
     for key in "bcde":
-        if key in left._base_counts and "a" in left._base_counts:
+        if key in left and "a" in left:
             assert left.correlation_of(key, "a") == right.correlation_of(key, "a")
 
 

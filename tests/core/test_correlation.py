@@ -342,3 +342,86 @@ class TestReadOnlyView:
             view.retract_group(0, {"a"})
         with pytest.raises(TypeError):
             view.update_groups(added=[(1, {"x"})])
+
+
+def _delta_fixture() -> CorrelationMatrix:
+    """Compacted {a,b}, {b,c}, {c,d} plus one retained group {a,b}.
+
+    Effective counts: a 2, b 3, c 2, d 1; pairs a/b 2, b/c 1, c/d 1.
+    """
+    matrix = CorrelationMatrix()
+    matrix.observe_groups_batch(0, [["a", "b"], ["b", "c"], ["c", "d"]])
+    matrix.update_groups(added=[(3, ["a", "b"])])
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "key_deltas, pair_deltas, message",
+    [
+        (
+            {"d": -2},
+            {},
+            "count delta -2 for 'd' drives its group count below zero "
+            "(currently 1)",
+        ),
+        (
+            {"a": -2},
+            {},
+            "count delta -2 for 'a' cuts into retained groups; retract "
+            "them instead",
+        ),
+        ({}, {("c", "c"): 1}, "pair delta names a single key 'c'"),
+        (
+            {},
+            {("d", "c"): -2},
+            "intersection delta -2 for 'c'/'d' drives the pair count below "
+            "zero (currently 1)",
+        ),
+        (
+            {},
+            {("a", "b"): -2},
+            "intersection delta -2 for 'a'/'b' cuts into retained groups; "
+            "retract them instead",
+        ),
+        (
+            {},
+            {("a", "z"): 1},
+            "pair delta for 'a'/'z' names key 'z', which has no group count",
+        ),
+        (
+            {"d": -1},
+            {},
+            "count delta removes 'd' but leaves its pair with 'c' non-zero; "
+            "zero the pair in the same call",
+        ),
+    ],
+    ids=[
+        "count-below-zero",
+        "count-cuts-retained",
+        "pair-single-key",
+        "intersection-below-zero",
+        "intersection-cuts-retained",
+        "pair-unknown-key",
+        "key-removed-pair-kept",
+    ],
+)
+def test_apply_count_deltas_rejections_are_atomic(
+    key_deltas, pair_deltas, message
+):
+    matrix = _delta_fixture()
+    before = (
+        matrix.pairwise_counts(),
+        matrix.structure_version,
+        sorted(map(sorted, matrix.connected_components())),
+    )
+    # a valid delta rides along in every call: nothing of it may land
+    with pytest.raises(ValueError) as raised:
+        matrix.apply_count_deltas(
+            {"b": 1, "e": 1, **key_deltas}, {("b", "e"): 1, **pair_deltas}
+        )
+    assert str(raised.value) == message
+    assert before == (
+        matrix.pairwise_counts(),
+        matrix.structure_version,
+        sorted(map(sorted, matrix.connected_components())),
+    )

@@ -243,6 +243,23 @@ class TestFleetRoundTrip:
         with pytest.raises(CheckpointError, match="unsupported fleet state version 2"):
             FleetPipeline.from_state_dir(tmp_path, {"m0": store})
 
+    def test_torn_root_cannot_bypass_the_generation_manifest_version(
+        self, tmp_path
+    ):
+        fleet = self._fleet(self.EVENTS)
+        fleet.to_state_dir(tmp_path)
+        fleet.close()
+        (tmp_path / "fleet.json").write_text('{"version": 4, "gene')
+        generation = FleetCheckpointStore(tmp_path).generations()[-1]
+        path = FleetCheckpointStore(tmp_path).generation_dir(generation)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["version"] = 3  # checksums untouched: machine files verify
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        store = TTKV()
+        store.record_events(self.EVENTS)
+        with pytest.raises(CheckpointError, match="unsupported fleet state version 3"):
+            FleetPipeline.from_state_dir(tmp_path, {"m0": store})
+
     def test_unsupported_version_raises_checkpoint_error(self, tmp_path):
         (tmp_path / "fleet.json").write_text(json.dumps({"version": 99}))
         with pytest.raises(CheckpointError, match="unsupported fleet state"):
