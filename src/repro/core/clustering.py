@@ -132,8 +132,9 @@ def component_clusters(
     Complete/single/average-linkage merges never cross components of the
     finite-distance graph, so clustering a component in isolation yields
     exactly the clusters a whole-matrix :func:`flat_clusters` run would
-    produce for those keys.  The incremental pipeline uses this to
-    re-agglomerate only the components a new write group touched.
+    produce for those keys.  It is the wholesale reference for the
+    streaming tiers, which repair dirty components through
+    :class:`~repro.core.sharded.ComponentModel` instead.
 
     >>> from repro.core.correlation import CorrelationMatrix
     >>> matrix = CorrelationMatrix({

@@ -493,39 +493,50 @@ class CorrelationMatrix:
         Must run after the retained groups have been replayed (the
         checkpoint-restore path); keys and pairs that exist only in the
         baseline are registered as live keys and neighbour edges, and the
-        union-find learns the baseline's connectivity.
+        union-find learns the baseline's connectivity.  The whole state is
+        validated first: a rejected one raises ``ValueError`` and leaves
+        the matrix unchanged.
         """
         count = int(state["count"])
         floor = int(state["floor"])
         if count < 0 or floor < 0:
             raise ValueError(f"compacted state out of range: {state!r}")
-        self._compacted_count = count
-        self._compact_floor = max(self._compact_floor, floor)
-        counts = self._counts
-        adj = self._adj
-        for key, key_count in state["keys"]:
-            if int(key_count) < 1:
+        keys = [(key, int(key_count)) for key, key_count in state["keys"]]
+        pairs = [
+            (key_a, key_b, int(pair_count))
+            for key_a, key_b, pair_count in state["pairs"]
+        ]
+        for key, key_count in keys:
+            if key_count < 1:
                 raise ValueError(f"compacted count for {key!r} must be >= 1")
-            if key in counts:
-                counts[key] += int(key_count)
-            else:
-                counts[key] = int(key_count)
-                adj[key] = {}
-            if not self._uf_stale:
-                self._uf.add(key)
-        for key_a, key_b, pair_count in state["pairs"]:
-            if int(pair_count) < 1:
+        known = self._counts.keys() | {key for key, _ in keys}
+        for key_a, key_b, pair_count in pairs:
+            if pair_count < 1:
                 raise ValueError(
                     f"compacted intersection for {key_a!r}/{key_b!r} "
                     "must be >= 1"
                 )
             for key in (key_a, key_b):
-                if key not in counts:
+                if key not in known:
                     raise ValueError(
                         f"compacted pair names unknown key {key!r}"
                     )
+
+        self._compacted_count = count
+        self._compact_floor = max(self._compact_floor, floor)
+        counts = self._counts
+        adj = self._adj
+        for key, key_count in keys:
+            if key in counts:
+                counts[key] += key_count
+            else:
+                counts[key] = key_count
+                adj[key] = {}
+            if not self._uf_stale:
+                self._uf.add(key)
+        for key_a, key_b, pair_count in pairs:
             row_a = adj[key_a]
-            row_a[key_b] = adj[key_b][key_a] = row_a.get(key_b, 0) + int(pair_count)
+            row_a[key_b] = adj[key_b][key_a] = row_a.get(key_b, 0) + pair_count
             if not self._uf_stale:
                 self._uf.union_many((key_a, key_b))
 
@@ -575,9 +586,10 @@ class CorrelationMatrix:
 
         The whole batch is validated before any state is touched: a delta
         driving a count negative or below the retained groups' share, a
-        pair delta naming a key absent after the key deltas apply, or a
-        key removed while one of its pairs stays non-zero all raise
-        ``ValueError`` and leave the matrix unchanged.  Returns the dirty
+        pair delta naming a key absent after the key deltas apply, a key
+        removed while one of its pairs stays non-zero, or a pair count
+        left above either key's count (``|A ∩ B| <= min(|A|, |B|)``) all
+        raise ``ValueError`` and leave the matrix unchanged.  Returns the dirty
         key set (every key whose correlations may have changed), like
         :meth:`update_groups`.
         """
@@ -621,10 +633,17 @@ class CorrelationMatrix:
                 )
             if current + delta > 0:
                 for key in (key_a, key_b):
-                    if not next_counts.get(key, counts.get(key, 0)):
+                    total = next_counts.get(key, counts.get(key, 0))
+                    if not total:
                         raise ValueError(
                             f"pair delta for {key_a!r}/{key_b!r} names key "
                             f"{key!r}, which has no group count"
+                        )
+                    if current + delta > total:
+                        raise ValueError(
+                            f"intersection delta {delta} for {key_a!r}/"
+                            f"{key_b!r} lifts the pair count above the group "
+                            f"count of {key!r} ({total})"
                         )
             next_common[(key_a, key_b)] = current + delta
         for key, total in next_counts.items():
@@ -635,6 +654,20 @@ class CorrelationMatrix:
                             f"count delta removes {key!r} but leaves its "
                             f"pair with {other!r} non-zero; zero the pair "
                             "in the same call"
+                        )
+            elif total < counts.get(key, 0):
+                # only a shrinking key can fall below an unchanged pair;
+                # the C-level max spares the row walk in the common case
+                row = adj[key]
+                if max(row.values(), default=0) <= total:
+                    continue
+                for other, shared in row.items():
+                    pair = (min(key, other), max(key, other))
+                    if shared > total and pair not in next_common:
+                        raise ValueError(
+                            f"count delta {keyed[key]} for {key!r} drops its "
+                            f"group count ({total}) below its intersection "
+                            f"with {other!r} ({shared})"
                         )
 
         dirty: set[str] = set(keyed)

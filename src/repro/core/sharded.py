@@ -13,7 +13,8 @@ write anything.  The sharded architecture splits the stream instead:
 - each shard is owned by a :class:`ShardEngine` — the per-stream logic of
   the original incremental pipeline: a journal cursor, a streaming write
   group extractor, an in-place :class:`~repro.core.correlation.
-  CorrelationMatrix`, and a per-component cluster cache.  Components are
+  CorrelationMatrix`, and a :class:`ComponentModel` — the per-component
+  cluster and dendrogram cache the fleet merge reuses.  Components are
   tracked by the matrix's incremental union-find, so an update touches
   only the *dirty region*: the components containing keys of the write
   groups that actually changed;
@@ -73,6 +74,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.clustering import LINKAGE_COMPLETE, check_clustering_params
 from repro.core.cluster_model import ClusterSet
@@ -176,21 +178,14 @@ class ShardUpdate:
     seconds: float = 0.0
 
 
-class ShardEngine:
-    """Streaming clustering over one shard's journal.
+class ComponentModel:
+    """Flat clusters of one live matrix, repaired one dirty region at a time.
 
-    This is the per-stream half of the original incremental pipeline,
-    extracted so a sharded session can own many of them.  The engine holds
-    a cursor into its :class:`~repro.ttkv.journal.EventJournal`, closes
-    write groups as the stream advances, folds them into its correlation
-    matrix in place, and re-agglomerates only the connected components the
-    update dirtied — components come from the matrix's union-find, so the
-    scan is O(dirty region), not O(live keys).
-
-    An out-of-order append that lands inside the still-open trailing write
-    group is absorbed by rewinding the extractor and re-feeding the
-    re-sorted tail (an O(buffer) fixup); anything older forces the rebuild
-    the journal's epoch machinery always allowed.
+    The one dirty-component repair core: every :class:`ShardEngine` holds
+    one over its shard matrix, and the fleet merge
+    (:class:`~repro.fleet.merge.FleetCorrelationMerge`) holds one over the
+    summed fleet matrix.  The owner mutates the matrix, then passes the
+    keys the mutation dirtied to :meth:`refresh`.
 
     Each reclustered component's full dendrogram is cached alongside its
     flat clusters.  A dirty component is repaired by keeping the cached
@@ -200,67 +195,36 @@ class ShardEngine:
     wholesale re-agglomeration from singletons when it cannot prove the
     cache valid: nothing cached, a lossy update, average linkage, a
     cache straddling the component, or a failed order check.  Both paths
-    produce identical clusters — the cache only changes how much work an
-    update does, and it survives checkpoints (:meth:`to_state`).
+    produce identical clusters — the cache only changes how much work a
+    refresh does, and it survives checkpoints (:meth:`to_state`).
     """
 
     def __init__(
         self,
-        journal: EventJournal,
-        *,
-        window: float = DEFAULT_WINDOW,
-        correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
-        linkage: str = LINKAGE_COMPLETE,
-        grouping: str = GROUPING_SLIDING,
+        matrix: CorrelationMatrix,
+        window: float,
+        correlation_threshold: float,
+        linkage: str,
     ) -> None:
-        check_clustering_params(window, correlation_threshold, linkage)
-        self._journal = journal
+        self._matrix = matrix
         self._window = window
         self._correlation_threshold = correlation_threshold
         self._max_distance = correlation_to_distance(correlation_threshold)
         self._linkage = linkage
-        self._grouping = grouping
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        # grouping is validated by the extractor
-        self._extractor = StreamingGroupExtractor(
-            self._window, grouping=self._grouping
-        )
-        self._cursor: JournalCursor | None = None
-        self._matrix = CorrelationMatrix()
-        self._closed_count = 0
-        self._pending_keys: frozenset[str] = frozenset()
         self._component_cache: dict[frozenset[str], list[frozenset[str]]] = {}
         self._dendro_cache: dict[frozenset[str], Dendrogram] = {}
         self._seed_cache: dict[frozenset[str], SeedDistanceCache] = {}
         self._component_of_key: dict[str, frozenset[str]] = {}
-        self._seen_structure = self._matrix.structure_version
+        self._seen_structure = matrix.structure_version
         self._ready = False
         self._order = SortedKeySets()
         self._last_removed: list[frozenset[str]] = []
         self._last_added: list[frozenset[str]] = []
         self._cluster_set: ClusterSet | None = None
 
-    # -- inspection ----------------------------------------------------------
-
-    @property
-    def journal(self) -> EventJournal:
-        return self._journal
-
-    @property
-    def cursor_position(self) -> int:
-        """Journal position of the consumed prefix (0 when fresh)."""
-        return 0 if self._cursor is None else self._cursor.position
-
-    @property
-    def matrix(self) -> CorrelationMatrixView:
-        """Read-only view of the engine's live correlation matrix."""
-        return CorrelationMatrixView(self._matrix)
-
     @property
     def ready(self) -> bool:
-        """Whether the engine has produced clusters at least once."""
+        """Whether :meth:`refresh` has produced clusters at least once."""
         return self._ready
 
     @property
@@ -268,112 +232,48 @@ class ShardEngine:
         return len(self._component_cache)
 
     @property
-    def cluster_key_sets(self) -> list[frozenset[str]]:
-        """Current clusters as key sets, largest first (a fresh list).
-
-        The order is maintained incrementally
-        (:class:`~repro.core.ordering.SortedKeySets`) as components are
-        repaired, so reading it never re-sorts.
-        """
+    def key_sets(self) -> list[frozenset[str]]:
+        """Current clusters as key sets, largest first (a fresh list)."""
         return self._order.as_key_sets()
 
     @property
     def last_order_delta(
         self,
     ) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
-        """(removed, added) cluster key sets of the most recent update.
-
-        The exact difference between the previous and current cluster
-        lists — what the owning pipeline applies to its merged order so
-        session-level assembly is also incremental.
-        """
+        """(removed, added) cluster key sets of the most recent refresh."""
         return list(self._last_removed), list(self._last_added)
 
     def cluster_set(self) -> ClusterSet:
-        """Current clusters as a :class:`ClusterSet` (cached per update)."""
+        """Current clusters as a :class:`ClusterSet` (cached per refresh)."""
         if self._cluster_set is None:
             self._cluster_set = ClusterSet.from_key_sets(
-                self.cluster_key_sets,
+                self.key_sets,
                 window=self._window,
                 correlation_threshold=self._correlation_threshold,
             )
         return self._cluster_set
 
-    def needs_update(self) -> bool:
-        """O(1): did this shard's journal move since the engine last read?"""
-        if self._cursor is None:
-            return True
-        return (
-            len(self._journal) != self._cursor.position
-            or self._journal.epoch != self._cursor.epoch
-        )
+    def refresh(
+        self, dirty: set[str], *, shown: Sequence[frozenset[str]] = ()
+    ) -> tuple[int, int, int, int]:
+        """Recluster what the matrix mutations since the last call dirtied.
 
-    # -- updating ------------------------------------------------------------
-
-    def update(self) -> ShardUpdate:
-        """Consume newly journaled events; recluster the dirty region."""
-        started = time.perf_counter()
-        rebuilt = False
-        absorbed = 0
-        self._last_removed = []
+        The first refresh, and any refresh after a lossy mutation bumped
+        ``structure_version``, walks every component; any other touches
+        only the components holding dirty keys.  ``shown`` holds clusters
+        an owner displayed from a model it discarded (a rebuild): they
+        enter the removal delta.  Returns ``(components_reclustered,
+        merges_reused, merges_recomputed, kernel_components)``.
+        """
+        self._last_removed = list(shown)
         self._last_added = []
-        rewound, events, cursor = self._journal.read_flexible(self._cursor)
-        if rewound:
-            pending = len(self._extractor.pending_events)
-            if rewound < pending or (
-                rewound == pending and self._closed_count == 0
-            ):
-                # The reordered suffix is still inside the provisional
-                # trailing group: drop it from the extractor and re-feed
-                # the re-sorted tail.  The group registrations diff below
-                # picks up any resulting changes.  Rewinding the *whole*
-                # pending group is only sound while no group has closed
-                # yet: the first pending event is what closed the previous
-                # group, and the extractor cannot retract that decision —
-                # an insertion landing at or before it must rebuild.
-                self._extractor.rewind(rewound)
-                absorbed = rewound
-            else:
-                # The reorder reaches into closed groups — the incremental
-                # state no longer matches the stream.  Rebuild.  The old
-                # clusters enter the removal delta first (the rescan below
-                # only diffs against the freshly emptied order); the
-                # netting at the end of this update cancels survivors.
-                previous = self._order.as_key_sets()
-                self._reset_state()
-                self._last_removed = previous
-                rebuilt = True
-                rewound, events, cursor = self._journal.read_flexible(None)
-        self._cursor = cursor
-
-        closed_count, dirty = self._register_stream(events)
-
         if not dirty and self._ready:
-            return ShardUpdate(
-                stats=UpdateStats(
-                    events_consumed=len(events),
-                    groups_closed=closed_count,
-                    dirty_keys=0,
-                    components_total=len(self._component_cache),
-                    components_reclustered=0,
-                    components_reused=len(self._component_cache),
-                    rebuilt=rebuilt,
-                    reorders_absorbed=absorbed,
-                    shards_updated=1,
-                ),
-                changed=False,
-                seconds=time.perf_counter() - started,
-            )
-
+            return 0, 0, 0, 0
         structure_kept = self._matrix.structure_version == self._seen_structure
         if not self._ready or not structure_kept:
-            reclustered, merges_reused, merges_recomputed, kernel_components = (
-                self._rescan_components(dirty, splice_ok=structure_kept)
-            )
+            result = self._rescan_components(dirty, splice_ok=structure_kept)
         else:
-            reclustered, merges_reused, merges_recomputed, kernel_components = (
-                self._recluster_dirty(dirty)
-            )
+            result = self._recluster_dirty(dirty)
         self._seen_structure = self._matrix.structure_version
         self._ready = True
 
@@ -388,88 +288,9 @@ class ShardEngine:
             if common:
                 self._last_removed = list((removed_counts - common).elements())
                 self._last_added = list((added_counts - common).elements())
-        changed = bool(self._last_removed or self._last_added)
-        if changed:
+        if self._last_removed or self._last_added:
             self._cluster_set = None
-        total = len(self._component_cache)
-        return ShardUpdate(
-            stats=UpdateStats(
-                events_consumed=len(events),
-                groups_closed=closed_count,
-                dirty_keys=len(dirty),
-                components_total=total,
-                components_reclustered=reclustered,
-                components_reused=total - reclustered,
-                rebuilt=rebuilt,
-                reorders_absorbed=absorbed,
-                shards_updated=1,
-                merges_reused=merges_reused,
-                merges_recomputed=merges_recomputed,
-                kernel_used=kernel_components > 0,
-                kernel_components=kernel_components,
-            ),
-            changed=changed,
-            seconds=time.perf_counter() - started,
-        )
-
-    def _register_stream(self, events: list) -> tuple[int, set[str]]:
-        """Fold a sorted event run into the extractor and matrix.
-
-        The stream half of an update: close write groups, register them
-        (and the provisional trailing group) with the matrix, then compact
-        every newly closed group into the matrix's aggregate baseline —
-        only the provisional group stays individually retractable, which
-        is exactly the retraction the engine ever performs (anything
-        deeper forces the :meth:`_reset_state` rebuild).  Returns
-        ``(groups_closed, dirty_keys)``.
-        """
-        old_pending = self._pending_keys
-        base = self._closed_count
-        closed = self._extractor.feed_many(events)
-        new_pending = self._extractor.pending_keys
-
-        # Desired registrations for group indices >= base.  The formerly
-        # provisional group sits at index `base`: it either became
-        # closed[0] or is still pending; re-register it only if its key set
-        # actually changed.
-        desired: list[tuple[int, frozenset[str]]] = []
-        index = base
-        for group in closed:
-            desired.append((index, group.keys))
-            index += 1
-        if new_pending:
-            desired.append((index, new_pending))
-        removed: list[tuple[int, frozenset[str]]] = []
-        if old_pending:
-            if desired and desired[0][1] == old_pending:
-                desired = desired[1:]
-            else:
-                removed.append((base, old_pending))
-        closed_through = base + len(closed)
-        pending_entry = None
-        closed_entries = desired
-        if desired and desired[-1][0] == closed_through:
-            pending_entry = desired[-1]
-            closed_entries = desired[:-1]
-        if not removed and len(closed_entries) >= STREAM_BATCH_MIN:
-            # Bulk run of final groups: count them straight into the
-            # matrix's aggregate baseline (vectorized when numpy is
-            # present).  Sound only without a retraction in the same
-            # step — netting a retraction against re-additions must stay
-            # one update_groups call, or a transient pair loss would bump
-            # structure_version and void caches the combined call keeps.
-            dirty = self._matrix.observe_groups_batch(
-                closed_entries[0][0],
-                [members for _, members in closed_entries],
-            )
-            if pending_entry is not None:
-                dirty |= self._matrix.update_groups(added=[pending_entry])
-        else:
-            dirty = self._matrix.update_groups(added=desired, removed=removed)
-        self._closed_count = closed_through
-        self._pending_keys = new_pending
-        self._matrix.compact(self._closed_count)
-        return len(closed), dirty
+        return result
 
     def _repair_component(
         self,
@@ -598,10 +419,10 @@ class ShardEngine:
         """O(dirty region): recluster only components touching dirty keys.
 
         Sound because between structural losses components only ever grow:
-        when components merge, the group that bridged them puts a key of
-        each old component into ``dirty``, so evicting every dirty key's
-        previously cached component removes exactly the entries the merge
-        invalidated.
+        when components merge, the group (or pair delta) that bridged them
+        puts a key of each old component into ``dirty``, so evicting every
+        dirty key's previously cached component removes exactly the entries
+        the merge invalidated.
         """
         matrix = self._matrix
         roots: dict[str, None] = {}
@@ -649,6 +470,260 @@ class ShardEngine:
 
     # -- checkpointing -------------------------------------------------------
 
+    def to_state(self) -> list[dict]:
+        """The dendrogram cache, compactly encoded, in a stable order."""
+        return [
+            dendrogram_to_state(self._dendro_cache[component])
+            for component in sorted(self._dendro_cache, key=sorted)
+        ]
+
+    def restore(self, entries: list[dict]) -> None:
+        """Install a :meth:`to_state` cache over the restored matrix.
+
+        Flat clusters are re-derived by the next :meth:`refresh`, which
+        reuses these merges and redoes only the threshold cut.
+        """
+        known = set(self._matrix.keys)
+        for entry in entries:
+            dendrogram = dendrogram_from_state(entry)
+            if not dendrogram.items <= known:
+                raise CheckpointError(
+                    "checkpoint dendrogram covers keys absent from the "
+                    "checkpointed groups"
+                )
+            self._dendro_cache[dendrogram.items] = dendrogram
+        self._seen_structure = self._matrix.structure_version
+
+
+class ShardEngine:
+    """Streaming clustering over one shard's journal.
+
+    This is the per-stream half of the original incremental pipeline,
+    extracted so a sharded session can own many of them.  The engine holds
+    a cursor into its :class:`~repro.ttkv.journal.EventJournal`, closes
+    write groups as the stream advances, folds them into its correlation
+    matrix in place, and hands the keys the fold dirtied to its
+    :class:`ComponentModel`, which re-agglomerates (or splices) only the
+    connected components those keys belong to.
+
+    An out-of-order append that lands inside the still-open trailing write
+    group is absorbed by rewinding the extractor and re-feeding the
+    re-sorted tail (an O(buffer) fixup); anything older forces the rebuild
+    the journal's epoch machinery always allowed.
+    """
+
+    def __init__(
+        self,
+        journal: EventJournal,
+        *,
+        window: float = DEFAULT_WINDOW,
+        correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
+        linkage: str = LINKAGE_COMPLETE,
+        grouping: str = GROUPING_SLIDING,
+    ) -> None:
+        check_clustering_params(window, correlation_threshold, linkage)
+        self._journal = journal
+        self._window = window
+        self._correlation_threshold = correlation_threshold
+        self._linkage = linkage
+        self._grouping = grouping
+        self._reset_state()
+
+    def _reset_state(self) -> None:
+        # grouping is validated by the extractor
+        self._extractor = StreamingGroupExtractor(
+            self._window, grouping=self._grouping
+        )
+        self._cursor: JournalCursor | None = None
+        self._matrix = CorrelationMatrix()
+        self._closed_count = 0
+        self._pending_keys: frozenset[str] = frozenset()
+        self._model = ComponentModel(
+            self._matrix, self._window, self._correlation_threshold, self._linkage
+        )
+
+    # -- inspection ----------------------------------------------------------
+
+    @property
+    def journal(self) -> EventJournal:
+        return self._journal
+
+    @property
+    def cursor_position(self) -> int:
+        """Journal position of the consumed prefix (0 when fresh)."""
+        return 0 if self._cursor is None else self._cursor.position
+
+    @property
+    def matrix(self) -> CorrelationMatrixView:
+        """Read-only view of the engine's live correlation matrix."""
+        return CorrelationMatrixView(self._matrix)
+
+    @property
+    def ready(self) -> bool:
+        """Whether the engine has produced clusters at least once."""
+        return self._model.ready
+
+    @property
+    def component_count(self) -> int:
+        return self._model.component_count
+
+    @property
+    def cluster_key_sets(self) -> list[frozenset[str]]:
+        """Current clusters as key sets, largest first (a fresh list).
+
+        The order is maintained incrementally
+        (:class:`~repro.core.ordering.SortedKeySets`) as components are
+        repaired, so reading it never re-sorts.
+        """
+        return self._model.key_sets
+
+    @property
+    def last_order_delta(
+        self,
+    ) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
+        """(removed, added) cluster key sets of the most recent update.
+
+        The exact difference between the previous and current cluster
+        lists — what the owning pipeline applies to its merged order so
+        session-level assembly is also incremental.
+        """
+        return self._model.last_order_delta
+
+    def cluster_set(self) -> ClusterSet:
+        """Current clusters as a :class:`ClusterSet` (cached per update)."""
+        return self._model.cluster_set()
+
+    def needs_update(self) -> bool:
+        """O(1): did this shard's journal move since the engine last read?"""
+        if self._cursor is None:
+            return True
+        return (
+            len(self._journal) != self._cursor.position
+            or self._journal.epoch != self._cursor.epoch
+        )
+
+    # -- updating ------------------------------------------------------------
+
+    def update(self) -> ShardUpdate:
+        """Consume newly journaled events; recluster the dirty region."""
+        started = time.perf_counter()
+        rebuilt = False
+        absorbed = 0
+        shown: list[frozenset[str]] = []
+        rewound, events, cursor = self._journal.read_flexible(self._cursor)
+        if rewound:
+            pending = len(self._extractor.pending_events)
+            if rewound < pending or (
+                rewound == pending and self._closed_count == 0
+            ):
+                # The reordered suffix is still inside the provisional
+                # trailing group: drop it from the extractor and re-feed
+                # the re-sorted tail.  The group registrations diff below
+                # picks up any resulting changes.  Rewinding the *whole*
+                # pending group is only sound while no group has closed
+                # yet: the first pending event is what closed the previous
+                # group, and the extractor cannot retract that decision —
+                # an insertion landing at or before it must rebuild.
+                self._extractor.rewind(rewound)
+                absorbed = rewound
+            else:
+                # The reorder reaches into closed groups — the incremental
+                # state no longer matches the stream.  Rebuild.  The old
+                # clusters enter the fresh model's removal delta; its
+                # refresh nets out the survivors.
+                shown = self._model.key_sets
+                self._reset_state()
+                rebuilt = True
+                rewound, events, cursor = self._journal.read_flexible(None)
+        self._cursor = cursor
+
+        closed_count, dirty = self._register_stream(events)
+        reclustered, merges_reused, merges_recomputed, kernel_components = (
+            self._model.refresh(dirty, shown=shown)
+        )
+        removed, added = self._model.last_order_delta
+        total = self._model.component_count
+        return ShardUpdate(
+            stats=UpdateStats(
+                events_consumed=len(events),
+                groups_closed=closed_count,
+                dirty_keys=len(dirty),
+                components_total=total,
+                components_reclustered=reclustered,
+                components_reused=total - reclustered,
+                rebuilt=rebuilt,
+                reorders_absorbed=absorbed,
+                shards_updated=1,
+                merges_reused=merges_reused,
+                merges_recomputed=merges_recomputed,
+                kernel_used=kernel_components > 0,
+                kernel_components=kernel_components,
+            ),
+            changed=bool(removed or added),
+            seconds=time.perf_counter() - started,
+        )
+
+    def _register_stream(self, events: list) -> tuple[int, set[str]]:
+        """Fold a sorted event run into the extractor and matrix.
+
+        The stream half of an update: close write groups, register them
+        (and the provisional trailing group) with the matrix, then compact
+        every newly closed group into the matrix's aggregate baseline —
+        only the provisional group stays individually retractable, which
+        is exactly the retraction the engine ever performs (anything
+        deeper forces the :meth:`_reset_state` rebuild).  Returns
+        ``(groups_closed, dirty_keys)``.
+        """
+        old_pending = self._pending_keys
+        base = self._closed_count
+        closed = self._extractor.feed_many(events)
+        new_pending = self._extractor.pending_keys
+
+        # Desired registrations for group indices >= base.  The formerly
+        # provisional group sits at index `base`: it either became
+        # closed[0] or is still pending; re-register it only if its key set
+        # actually changed.
+        desired: list[tuple[int, frozenset[str]]] = []
+        index = base
+        for group in closed:
+            desired.append((index, group.keys))
+            index += 1
+        if new_pending:
+            desired.append((index, new_pending))
+        removed: list[tuple[int, frozenset[str]]] = []
+        if old_pending:
+            if desired and desired[0][1] == old_pending:
+                desired = desired[1:]
+            else:
+                removed.append((base, old_pending))
+        closed_through = base + len(closed)
+        pending_entry = None
+        closed_entries = desired
+        if desired and desired[-1][0] == closed_through:
+            pending_entry = desired[-1]
+            closed_entries = desired[:-1]
+        if not removed and len(closed_entries) >= STREAM_BATCH_MIN:
+            # Bulk run of final groups: count them straight into the
+            # matrix's aggregate baseline (vectorized when numpy is
+            # present).  Sound only without a retraction in the same
+            # step — netting a retraction against re-additions must stay
+            # one update_groups call, or a transient pair loss would bump
+            # structure_version and void caches the combined call keeps.
+            dirty = self._matrix.observe_groups_batch(
+                closed_entries[0][0],
+                [members for _, members in closed_entries],
+            )
+            if pending_entry is not None:
+                dirty |= self._matrix.update_groups(added=[pending_entry])
+        else:
+            dirty = self._matrix.update_groups(added=desired, removed=removed)
+        self._closed_count = closed_through
+        self._pending_keys = new_pending
+        self._matrix.compact(self._closed_count)
+        return len(closed), dirty
+
+    # -- checkpointing -------------------------------------------------------
+
     def to_state(self) -> dict:
         """JSON-safe snapshot: cursor, group registrations, pending events.
 
@@ -686,10 +761,7 @@ class ShardEngine:
                 [index, sorted(members)]
                 for index, members in sorted(self._matrix.observed_groups().items())
             ],
-            "dendrograms": [
-                dendrogram_to_state(self._dendro_cache[component])
-                for component in sorted(self._dendro_cache, key=sorted)
-            ],
+            "dendrograms": self._model.to_state(),
         }
 
     def restore(self, state: dict) -> None:
@@ -751,16 +823,7 @@ class ShardEngine:
         compacted = state["compacted"]
         if compacted is not None:
             self._matrix.install_compacted(compacted)
-        known = set(self._matrix.keys)
-        for entry in state["dendrograms"]:
-            dendrogram = dendrogram_from_state(entry)
-            if not dendrogram.items <= known:
-                raise CheckpointError(
-                    "checkpoint dendrogram covers keys absent from the "
-                    "checkpointed groups"
-                )
-            self._dendro_cache[dendrogram.items] = dendrogram
-        self._seen_structure = self._matrix.structure_version
+        self._model.restore(state["dendrograms"])
 
 
 class ShardedPipeline:

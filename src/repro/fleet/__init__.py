@@ -8,8 +8,9 @@ continues:
 
 - :class:`FleetCorrelationMerge` (:mod:`repro.fleet.merge`) sums
   per-machine pairwise evidence keyed by canonical app/key identity and
-  re-agglomerates only the fleet components whose evidence changed — the
-  cross-machine analog of the engines' dirty-region recluster.  It is
+  repairs only the fleet components whose evidence changed, through the
+  same :class:`~repro.core.sharded.ComponentModel` the shard engines use
+  (growth-only evidence splices cached dendrograms).  It is
   property-tested equal to concatenating all machines' write groups into
   one batch matrix (:func:`repro.fleet.merge.concatenated_batch_clusters`).
 - :class:`FleetPipeline` (:mod:`repro.fleet.pipeline`) owns one

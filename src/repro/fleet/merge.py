@@ -10,8 +10,10 @@ all machines' snapshots, keyed by canonical app/key identity (two
 machines writing ``mail/zoom`` contribute to the same fleet key).  When a
 machine reports again, only the *diff* against its previous snapshot is
 applied (:meth:`~repro.core.correlation.CorrelationMatrix.apply_count_deltas`),
-and only fleet components touched by the diff are re-agglomerated — the
-cross-machine analog of the engines' dirty-region recluster.
+and only fleet components touched by the diff are repaired — by the same
+:class:`~repro.core.sharded.ComponentModel` the shard engines use, so a
+growing component splices its cached dendrogram instead of
+re-agglomerating from singletons.
 
 The independent reference is :func:`concatenated_batch_clusters`: extract
 every machine's write groups with the batch extractor (respecting the
@@ -30,13 +32,12 @@ from repro.core.cluster_model import ClusterSet
 from repro.core.clustering import (
     LINKAGE_COMPLETE,
     check_clustering_params,
-    component_clusters,
+    component_clusters,  # noqa: F401 -- benchmarks/e2e/tracing.py wraps it by name
     flat_clusters,
 )
 from repro.core.correlation import CorrelationMatrix, CorrelationMatrixView
-from repro.core.hac_kernel import KERNEL_AUTO
-from repro.core.ordering import SortedKeySets
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
+from repro.core.sharded import ComponentModel
 from repro.core.windowing import extract_write_groups
 from repro.ttkv.sharding import CATCH_ALL
 
@@ -74,8 +75,8 @@ class FleetCorrelationMerge:
     Feed it machine snapshots with :meth:`ingest` (idempotent per
     snapshot: the diff against the machine's previous report is applied),
     drop a machine with :meth:`retire` (its evidence is subtracted), and
-    read the fleet model with :meth:`clusters` — which re-agglomerates
-    only components whose evidence changed since the last read.
+    read the fleet model with :meth:`clusters` — which repairs only
+    components whose evidence changed since the last read.
     """
 
     def __init__(
@@ -90,10 +91,11 @@ class FleetCorrelationMerge:
         self.correlation_threshold = correlation_threshold
         self.linkage = linkage
         self._matrix = CorrelationMatrix()
+        self._model = ComponentModel(
+            self._matrix, window, correlation_threshold, linkage
+        )
         self._snapshots: dict[str, Snapshot] = {}
         self._dirty: set[str] = set()
-        self._cache: dict[frozenset[str], list[frozenset[str]]] = {}
-        self._cluster_set: ClusterSet | None = None
         self.last_stats: MergeStats | None = None
 
     # -- inspection ----------------------------------------------------------
@@ -116,7 +118,7 @@ class FleetCorrelationMerge:
         a heavy merge reads the last coherent model instead of blocking
         the event loop on a re-agglomeration.
         """
-        return self._cluster_set
+        return self._model.cluster_set() if self._model.ready else None
 
     # -- evidence ------------------------------------------------------------
 
@@ -157,51 +159,27 @@ class FleetCorrelationMerge:
         """The fleet cluster model (largest clusters first).
 
         Components whose members don't intersect the keys dirtied since
-        the previous call reuse their cached flat clusters; only dirty
-        components re-agglomerate.  Sound because the fleet matrix is
-        mutated exclusively through :meth:`ingest`/:meth:`retire`, whose
-        delta application reports every key whose evidence (or component
-        membership) could have changed.
+        the previous call keep their cached clusters; only dirty
+        components are repaired, splicing their cached dendrograms when
+        the evidence only grew (:meth:`ComponentModel.refresh`).  Sound
+        because the fleet matrix is mutated exclusively through
+        :meth:`ingest`/:meth:`retire`, whose delta application reports
+        every key whose evidence (or component membership) could have
+        changed, and bumps ``structure_version`` on any loss.
         """
-        if self._cluster_set is not None and not self._dirty:
-            return self._cluster_set
-        components = self._matrix.connected_components()
-        next_cache: dict[frozenset[str], list[frozenset[str]]] = {}
-        order = SortedKeySets()
-        reused = reclustered = 0
-        for component in components:
-            members = frozenset(component)
-            cached = self._cache.get(members)
-            if cached is not None and not (members & self._dirty):
-                key_sets = cached
-                reused += 1
-            else:
-                key_sets = component_clusters(
-                    self._matrix,
-                    component,
-                    self.correlation_threshold,
-                    self.linkage,
-                    kernel=KERNEL_AUTO,
-                )
-                reclustered += 1
-            next_cache[members] = key_sets
-            for key_set in key_sets:
-                order.add(key_set)
-        self._cache = next_cache
+        if self._model.ready and not self._dirty:
+            return self._model.cluster_set()
+        reclustered = self._model.refresh(self._dirty)[0]
+        total = self._model.component_count
         self.last_stats = MergeStats(
             machines=len(self._snapshots),
             dirty_keys=len(self._dirty),
-            components_total=len(components),
+            components_total=total,
             components_reclustered=reclustered,
-            components_reused=reused,
+            components_reused=total - reclustered,
         )
         self._dirty = set()
-        self._cluster_set = ClusterSet.from_key_sets(
-            order.as_key_sets(),
-            window=self.window,
-            correlation_threshold=self.correlation_threshold,
-        )
-        return self._cluster_set
+        return self._model.cluster_set()
 
 
 def _route(key: str, ordered_prefixes: Sequence[str], catch_all: bool) -> str | None:

@@ -252,7 +252,7 @@ class FleetPipeline:
             "status": "ok",
             "machines": len(self._machines),
             "rounds": self._rounds,
-            "fleet_keys": len(self._merge.matrix.pairwise_counts()[0]),
+            "fleet_keys": len(self._merge.matrix),
             "clusters": None if clusters is None else len(clusters),
         }
         if self._resilience is not None:

@@ -394,6 +394,18 @@ def _delta_fixture() -> CorrelationMatrix:
             "count delta removes 'd' but leaves its pair with 'c' non-zero; "
             "zero the pair in the same call",
         ),
+        (
+            {},
+            {("c", "d"): 1},
+            "intersection delta 1 for 'c'/'d' lifts the pair count above "
+            "the group count of 'd' (1)",
+        ),
+        (
+            {"a": -1},
+            {},
+            "count delta -1 for 'a' drops its group count (1) below its "
+            "intersection with 'b' (2)",
+        ),
     ],
     ids=[
         "count-below-zero",
@@ -403,6 +415,8 @@ def _delta_fixture() -> CorrelationMatrix:
         "intersection-cuts-retained",
         "pair-unknown-key",
         "key-removed-pair-kept",
+        "intersection-above-key-count",
+        "key-count-below-kept-pair",
     ],
 )
 def test_apply_count_deltas_rejections_are_atomic(
@@ -424,4 +438,25 @@ def test_apply_count_deltas_rejections_are_atomic(
         matrix.pairwise_counts(),
         matrix.structure_version,
         sorted(map(sorted, matrix.connected_components())),
+    )
+
+
+def test_install_compacted_rejection_is_atomic():
+    # the pair's unknown key is found only after the keys were read: a
+    # rejected state must not leave the counts or the group total behind
+    matrix = CorrelationMatrix()
+    before = (
+        matrix.pairwise_counts(),
+        matrix.compacted_groups,
+        matrix.compact_floor,
+        matrix.structure_version,
+    )
+    state = {"count": 3, "floor": 3, "keys": [["a", 1]], "pairs": [["a", "z", 1]]}
+    with pytest.raises(ValueError, match="compacted pair names unknown key 'z'"):
+        matrix.install_compacted(state)
+    assert before == (
+        matrix.pairwise_counts(),
+        matrix.compacted_groups,
+        matrix.compact_floor,
+        matrix.structure_version,
     )

@@ -453,15 +453,16 @@ class TestEngineRepair:
             journal.append_event((t, key, 1))
         engine = ShardEngine(journal)
         engine.update()
+        model = engine._model
         hot = frozenset({"a", "b"})
         clean = frozenset({"x", "y"})
-        assert hot in engine._dendro_cache and clean in engine._dendro_cache
-        kept = engine._dendro_cache[clean]
+        assert hot in model._dendro_cache and clean in model._dendro_cache
+        kept = model._dendro_cache[clean]
         reclustered, reused, recomputed, kernel_components = (
-            engine._rescan_components({"a"}, splice_ok=False)
+            model._rescan_components({"a"}, splice_ok=False)
         )
-        assert engine._dendro_cache[clean] is kept
-        assert hot in engine._dendro_cache  # rebuilt, not spliced
+        assert model._dendro_cache[clean] is kept
+        assert hot in model._dendro_cache  # rebuilt, not spliced
         assert reused == 0
 
     def test_checkpoint_round_trip_preserves_the_dendrogram_cache(self):

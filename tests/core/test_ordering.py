@@ -36,7 +36,7 @@ def _reference(key_sets):
 def _engine_reference(engine):
     return _reference(
         key_set
-        for clusters in engine._component_cache.values()
+        for clusters in engine._model._component_cache.values()
         for key_set in clusters
     )
 

@@ -150,6 +150,63 @@ def test_clean_components_are_reused_not_reclustered():
     assert merge.last_stats.components_reclustered == 1
 
 
+def test_growth_splices_and_retraction_rebuilds_only_the_dirty_component(
+    monkeypatch,
+):
+    """The merge repairs dirty components through the engines' core.
+
+    Growth-only evidence splices the component's cached dendrogram and
+    keeps its clean merges; a retire that zeroes a pair rebuilds the
+    dirty component from singletons while a clean component keeps its
+    dendrogram object.
+    """
+    from repro.core import sharded
+
+    spliced, rebuilt = [], []
+    real_splice, real_rebuild = sharded.splice_dendrogram, sharded.rebuild_outcome
+
+    def splice(*args, **kwargs):
+        outcome = real_splice(*args, **kwargs)
+        spliced.append(outcome)
+        return outcome
+
+    def rebuild(matrix, component, *args, **kwargs):
+        rebuilt.append(component)
+        return real_rebuild(matrix, component, *args, **kwargs)
+
+    monkeypatch.setattr(sharded, "splice_dendrogram", splice)
+    monkeypatch.setattr(sharded, "rebuild_outcome", rebuild)
+
+    first = [(0.0, "mail/a", 1), (0.0, "mail/b", 1)]
+    first += [(0.0, "edit/x", 1), (0.0, "edit/y", 1)]
+    second = [(9.0, "mail/a", 2), (9.0, "mail/b", 2), (9.0, "mail/c", 2)]
+    machine_events = {"m0": first}
+    merge = FleetCorrelationMerge()
+
+    def step(machine_id, events):
+        machine_events[machine_id] = events
+        merge.ingest(machine_id, *_machine_counts(events))
+        assert _cluster_sets(merge.clusters()) == _reference(machine_events)
+
+    step("m0", first)
+    step("m0", first + second)  # round two: {a, b, c} is one component
+    spliced.clear()
+    step("m1", [(0.0, "mail/c", 1), (0.0, "mail/d", 1)])  # growth only
+    assert spliced and spliced[0].spliced
+    assert spliced[0].merges_reused > 0  # the clean a/b merge survives
+
+    clean = frozenset({"edit/x", "edit/y"})
+    kept = merge._model._dendro_cache[clean]
+    spliced.clear()
+    rebuilt.clear()
+    merge.retire("m1")  # c/d reaches zero: a lossy delta
+    del machine_events["m1"]
+    assert _cluster_sets(merge.clusters()) == _reference(machine_events)
+    assert not spliced
+    assert rebuilt == [frozenset({"mail/a", "mail/b", "mail/c"})]
+    assert merge._model._dendro_cache[clean] is kept
+
+
 def test_duplicate_keys_on_different_machines_sum():
     """Two machines writing the same canonical keys add evidence."""
     events = [(0.0, "mail/a", 1), (0.0, "mail/b", 1)]
