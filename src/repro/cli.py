@@ -589,6 +589,7 @@ def _cmd_stream_scenario(args) -> str:
     lines.append(
         f"  {result.updates} update(s); "
         f"{result.reorders_absorbed} reorder(s) absorbed, "
+        f"{result.reorders_repaired} repaired, "
         f"{result.rebuilds} rebuild(s); "
         f"{len(result.clusters)} clusters "
         f"({len(result.clusters.multi_clusters())} multi-key)"

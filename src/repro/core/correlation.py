@@ -302,8 +302,8 @@ class CorrelationMatrix:
         distances, neighbours, components and cached distance blocks are
         all exactly as before — only :meth:`retract_group` on a compacted
         index now fails (callers keep the retractable tail above
-        ``keep_from``; the streaming engine keeps exactly its provisional
-        trailing group).
+        ``keep_from``; the streaming engine keeps its provisional trailing
+        group and the last few closed ones).
 
         Returns the number of groups compacted by this call.  Idempotent:
         re-calling with the same ``keep_from`` compacts nothing.
@@ -327,8 +327,8 @@ class CorrelationMatrix:
         *exactly those groups* (other retained groups are untouched — a
         later :meth:`compact` call handles them as usual).  The groups
         never become individually retractable: the caller asserts they are
-        closed for good, exactly what the streaming engine asserts by
-        compacting after every update.  That lets their per-key and
+        closed for good, which the streaming engine asserts only for groups
+        older than its retractable horizon.  That lets their per-key and
         per-pair contributions be counted in bulk — one ``np.bincount``
         for key occurrences and one ``np.unique`` over integer-encoded
         in-group pairs — instead of a Python dict update per event.

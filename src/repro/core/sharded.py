@@ -71,6 +71,7 @@ Example — two applications, updated and checkpointed::
 
 from __future__ import annotations
 
+import bisect
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -95,26 +96,42 @@ from repro.core.dendrogram import Dendrogram
 from repro.core.hac_kernel import KERNEL_AUTO, KERNEL_NUMPY
 from repro.core.ordering import SortedKeySets, diff_sorted
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
-from repro.core.windowing import GROUPING_SLIDING, StreamingGroupExtractor
+from repro.core.windowing import (
+    GROUPING_SLIDING,
+    StreamingGroupExtractor,
+    WriteGroup,
+)
 from repro.exceptions import CheckpointError, CorruptCheckpointError
 from repro.ttkv.journal import EventJournal, JournalCursor, decode_event, encode_event
 from repro.ttkv.sharding import ShardedJournal
 from repro.ttkv.store import TTKV
 
 #: Checkpoint format version written by :meth:`ShardedPipeline.to_state`.
-#: Shard states carry a ``"compacted"`` aggregate baseline and their
-#: ``"groups"`` list holds only the retractable tail, and their
-#: ``"dendrograms"`` list is required.  Version 5 dropped the repair mode
-#: and kernel that version 4 recorded in its params.
-STATE_VERSION = 5
+#: Shard states carry a ``"compacted"`` aggregate baseline, their
+#: ``"groups"`` list holds only the retractable tail, their ``"starts"``
+#: list the journal position of each retained closed group's first event,
+#: and their ``"dendrograms"`` list is required.  Version 6 added
+#: ``"starts"`` (the bounded-suffix reorder repair); version 5 dropped the
+#: repair mode and kernel that version 4 recorded in its params.
+STATE_VERSION = 6
 
 #: Checkpoint versions :meth:`ShardedPipeline.from_state` accepts.
-SUPPORTED_STATE_VERSIONS = (5,)
+SUPPORTED_STATE_VERSIONS = (6,)
 
-#: Minimum closed groups per update before :meth:`ShardEngine.
-#: _register_stream` takes the matrix's bulk-ingest path; the routine
+#: Minimum closed groups one update folds through the matrix's bulk-ingest
+#: path (:meth:`ShardEngine._register_stream`); the routine
 #: one-group-closed update stays on the single ``update_groups`` call.
 STREAM_BATCH_MIN = 4
+
+#: Closed write groups each shard engine keeps retractable behind its
+#: provisional group, so that a late event landing in one of them is
+#: repaired by re-feeding that short journal suffix instead of rebuilding
+#: the shard from its whole journal.  Set from a measured histogram: on the
+#: ``flooded_stream`` benchmark (seed 0, 549 rebuild batches under the
+#: provisional-group-only rule) a reorder reached back 1 closed group 310
+#: times, 2 groups 178 times and 3 groups 61 times; seed 3 gave
+#: 346 / 165 / 60 of 571.  None went deeper than 3.
+REORDER_HORIZON = 3
 
 
 @dataclass(frozen=True)
@@ -126,8 +143,11 @@ class UpdateStats:
     engines ran versus were skipped because their journals had not
     advanced.  ``reorders_absorbed`` counts already-consumed events that
     were re-delivered after an out-of-order append and absorbed in place
-    (rewound within the provisional trailing group) instead of forcing the
-    full rebuild that ``rebuilt`` reports.
+    (rewound within the provisional trailing group); ``reorders_repaired``
+    counts those handled by the bounded-suffix repair (the reorder reached
+    into one of the last :data:`REORDER_HORIZON` closed groups, which were
+    retracted and re-fed).  Anything deeper forces the full rebuild that
+    ``rebuilt`` reports.
 
     ``shard_timings`` maps each updated shard id to the wall-clock seconds
     its engine's ``update()`` took; ``slowest_shard`` is the id with the
@@ -156,6 +176,7 @@ class UpdateStats:
     components_reused: int
     rebuilt: bool
     reorders_absorbed: int = 0
+    reorders_repaired: int = 0
     shards_updated: int = 0
     shards_total: int = 1
     shard_timings: dict[str, float] = field(default_factory=dict)
@@ -506,10 +527,15 @@ class ShardEngine:
     :class:`ComponentModel`, which re-agglomerates (or splices) only the
     connected components those keys belong to.
 
-    An out-of-order append that lands inside the still-open trailing write
-    group is absorbed by rewinding the extractor and re-feeding the
-    re-sorted tail (an O(buffer) fixup); anything older forces the rebuild
-    the journal's epoch machinery always allowed.
+    Late events are handled at three depths.  One that lands inside the
+    still-open trailing write group is absorbed by rewinding the extractor
+    and re-feeding the re-sorted tail.  One that lands in, or just after,
+    one of the last :data:`REORDER_HORIZON` closed groups is repaired: the
+    engine keeps those groups retractable and remembers where each starts
+    in the journal, so it retracts them with the provisional group and
+    re-extracts the journal suffix from the group holding the event just
+    before the insertion (an insert can bridge that group to the next).
+    Anything older forces the rebuild from the whole journal.
     """
 
     def __init__(
@@ -538,6 +564,10 @@ class ShardEngine:
         self._matrix = CorrelationMatrix()
         self._closed_count = 0
         self._pending_keys: frozenset[str] = frozenset()
+        # (journal position of the first event, keys) of each retained
+        # closed group: the last REORDER_HORIZON ones (fewer for a while
+        # after a repair bridged two of them)
+        self._retained: list[tuple[int, frozenset[str]]] = []
         self._model = ComponentModel(
             self._matrix, self._window, self._correlation_threshold, self._linkage
         )
@@ -608,7 +638,7 @@ class ShardEngine:
         """Consume newly journaled events; recluster the dirty region."""
         started = time.perf_counter()
         rebuilt = False
-        absorbed = 0
+        absorbed = repaired = reopen = 0
         shown: list[frozenset[str]] = []
         rewound, events, cursor = self._journal.read_flexible(self._cursor)
         if rewound:
@@ -622,22 +652,32 @@ class ShardEngine:
                 # picks up any resulting changes.  Rewinding the *whole*
                 # pending group is only sound while no group has closed
                 # yet: the first pending event is what closed the previous
-                # group, and the extractor cannot retract that decision —
-                # an insertion landing at or before it must rebuild.
+                # group, and the extractor cannot retract that decision.
                 self._extractor.rewind(rewound)
                 absorbed = rewound
             else:
-                # The reorder reaches into closed groups — the incremental
-                # state no longer matches the stream.  Rebuild.  The old
-                # clusters enter the fresh model's removal delta; its
-                # refresh nets out the survivors.
-                shown = self._model.key_sets
-                self._reset_state()
-                rebuilt = True
-                rewound, events, cursor = self._journal.read_flexible(None)
+                reopen = self._reopen_depth(self._cursor.position - rewound)
+                if reopen:
+                    # Re-extract from the first reopened group's start: at
+                    # a group boundary a fresh extractor holds exactly the
+                    # state the old one did.
+                    self._extractor = StreamingGroupExtractor(
+                        self._window, grouping=self._grouping
+                    )
+                    events = self._journal.events_from(self._retained[-reopen][0])
+                    repaired = rewound
+                else:
+                    # The reorder reaches past the retractable horizon —
+                    # the incremental state no longer matches the stream.
+                    # Rebuild.  The old clusters enter the fresh model's
+                    # removal delta; its refresh nets out the survivors.
+                    shown = self._model.key_sets
+                    self._reset_state()
+                    rebuilt = True
+                    rewound, events, cursor = self._journal.read_flexible(None)
         self._cursor = cursor
 
-        closed_count, dirty = self._register_stream(events)
+        closed_count, dirty = self._register_stream(events, reopen)
         reclustered, merges_reused, merges_recomputed, kernel_components = (
             self._model.refresh(dirty, shown=shown)
         )
@@ -653,6 +693,7 @@ class ShardEngine:
                 components_reused=total - reclustered,
                 rebuilt=rebuilt,
                 reorders_absorbed=absorbed,
+                reorders_repaired=repaired,
                 shards_updated=1,
                 merges_reused=merges_reused,
                 merges_recomputed=merges_recomputed,
@@ -663,63 +704,92 @@ class ShardEngine:
             seconds=time.perf_counter() - started,
         )
 
-    def _register_stream(self, events: list) -> tuple[int, set[str]]:
+    def _reopen_depth(self, position: int) -> int:
+        """Retained closed groups a reorder at journal ``position`` reopens.
+
+        The repair restarts at the group holding event ``position - 1``
+        (group 0 when ``position`` is 0): the inserted events can join that
+        group, or bridge it to the next, but cannot reach anything older —
+        every earlier group boundary is decided by unchanged events.
+        Returns 0 when that group is no longer retained (a rebuild).
+        """
+        starts = [first for first, _ in self._retained]
+        held = bisect.bisect_right(starts, max(position - 1, 0)) - 1
+        return 0 if held < 0 else len(starts) - held
+
+    def _register_stream(
+        self, events: Sequence, reopen: int = 0
+    ) -> tuple[int, set[str]]:
         """Fold a sorted event run into the extractor and matrix.
 
         The stream half of an update: close write groups, register them
         (and the provisional trailing group) with the matrix, then compact
-        every newly closed group into the matrix's aggregate baseline —
-        only the provisional group stays individually retractable, which
-        is exactly the retraction the engine ever performs (anything
-        deeper forces the :meth:`_reset_state` rebuild).  Returns
+        every closed group older than the last :data:`REORDER_HORIZON` into
+        the matrix's aggregate baseline.  ``reopen`` retained closed groups
+        (a bounded-suffix repair, whose extractor was reset to the first
+        one's start) are retracted with the provisional group.  Returns
         ``(groups_closed, dirty_keys)``.
         """
-        old_pending = self._pending_keys
-        base = self._closed_count
+        base = self._closed_count - reopen
+        kept = len(self._retained) - reopen
+        removed = [
+            (base + offset, members)
+            for offset, (_, members) in enumerate(self._retained[kept:])
+        ]
+        if self._pending_keys:
+            removed.append((self._closed_count, self._pending_keys))
+        del self._retained[kept:]
         closed = self._extractor.feed_many(events)
         new_pending = self._extractor.pending_keys
 
-        # Desired registrations for group indices >= base.  The formerly
-        # provisional group sits at index `base`: it either became
-        # closed[0] or is still pending; re-register it only if its key set
-        # actually changed.
-        desired: list[tuple[int, frozenset[str]]] = []
-        index = base
-        for group in closed:
-            desired.append((index, group.keys))
-            index += 1
-        if new_pending:
-            desired.append((index, new_pending))
-        removed: list[tuple[int, frozenset[str]]] = []
-        if old_pending:
-            if desired and desired[0][1] == old_pending:
-                desired = desired[1:]
-            else:
-                removed.append((base, old_pending))
+        # Desired registrations for group indices >= base.  A registration
+        # identical on both sides (the formerly provisional group closed
+        # unchanged, a reopened group the reorder did not touch) is left
+        # alone, so the dirty set holds only keys of groups that changed.
+        desired = [(base + offset, group.keys) for offset, group in enumerate(closed)]
         closed_through = base + len(closed)
-        pending_entry = None
+        if new_pending:
+            desired.append((closed_through, new_pending))
+        if removed:
+            # only entries up to the last retracted index can match
+            span = len(removed)
+            unchanged = set(removed).intersection(desired[:span])
+            if unchanged:
+                removed = [entry for entry in removed if entry not in unchanged]
+                desired = [
+                    entry for entry in desired[:span] if entry not in unchanged
+                ] + desired[span:]
         closed_entries = desired
         if desired and desired[-1][0] == closed_through:
-            pending_entry = desired[-1]
             closed_entries = desired[:-1]
-        if not removed and len(closed_entries) >= STREAM_BATCH_MIN:
-            # Bulk run of final groups: count them straight into the
-            # matrix's aggregate baseline (vectorized when numpy is
-            # present).  Sound only without a retraction in the same
-            # step — netting a retraction against re-additions must stay
-            # one update_groups call, or a transient pair loss would bump
-            # structure_version and void caches the combined call keeps.
+        folded = len(closed_entries) - REORDER_HORIZON
+        if not removed and folded >= STREAM_BATCH_MIN:
+            # Bulk run of final groups: count all but the retained ones
+            # straight into the matrix's aggregate baseline (vectorized
+            # when numpy is present).  Sound only without a retraction in
+            # the same step — netting a retraction against re-additions
+            # must stay one update_groups call, or a transient pair loss
+            # would bump structure_version and void caches the combined
+            # call keeps.
             dirty = self._matrix.observe_groups_batch(
                 closed_entries[0][0],
-                [members for _, members in closed_entries],
+                [members for _, members in closed_entries[:folded]],
             )
-            if pending_entry is not None:
-                dirty |= self._matrix.update_groups(added=[pending_entry])
+            dirty |= self._matrix.update_groups(added=desired[folded:])
         else:
             dirty = self._matrix.update_groups(added=desired, removed=removed)
+        # the stream is fed up to the cursor, so the last closed group ends
+        # where the extractor's buffered events begin
+        self._retained.extend(
+            _located(
+                closed[-REORDER_HORIZON:],
+                self._cursor.position - len(self._extractor.pending_events),
+            )
+        )
+        del self._retained[:-REORDER_HORIZON]
         self._closed_count = closed_through
         self._pending_keys = new_pending
-        self._matrix.compact(self._closed_count)
+        self._matrix.compact(closed_through - REORDER_HORIZON)
         return len(closed), dirty
 
     # -- checkpointing -------------------------------------------------------
@@ -753,14 +823,16 @@ class ShardEngine:
             "pending": [
                 encode_event(event) for event in self._extractor.pending_events
             ],
-            # closed groups live compacted in the aggregate baseline;
-            # "groups" holds only the retractable provisional tail, so the
-            # checkpoint is O(live keys) however long the session ran
+            # older closed groups live compacted in the aggregate baseline;
+            # "groups" holds only the retractable tail (the retained closed
+            # groups and the provisional one), so the checkpoint is
+            # O(live keys) however long the session ran
             "compacted": self._matrix.compacted_state(),
             "groups": [
                 [index, sorted(members)]
                 for index, members in sorted(self._matrix.observed_groups().items())
             ],
+            "starts": [first for first, _ in self._retained],
             "dendrograms": self._model.to_state(),
         }
 
@@ -818,12 +890,69 @@ class ShardEngine:
                     "checkpoint provisional group does not match its "
                     "pending events"
                 )
+        self._retained = self._restore_retained(
+            [int(first) for first in state["starts"]],
+            {index: frozenset(members) for index, members in groups},
+            cursor.position - len(pending_events),
+        )
         if groups:
             self._matrix.update_groups(added=groups)
         compacted = state["compacted"]
         if compacted is not None:
             self._matrix.install_compacted(compacted)
         self._model.restore(state["dendrograms"])
+
+    def _restore_retained(
+        self,
+        starts: list[int],
+        groups: dict[int, frozenset[str]],
+        pending_start: int,
+    ) -> list[tuple[int, frozenset[str]]]:
+        """Check a checkpoint's retained closed groups against the journal.
+
+        A live engine retains the last closed groups — at most
+        :data:`REORDER_HORIZON`, fewer after a repair bridged two of them —
+        and re-extracting the journal from the first one's start reproduces
+        them at their recorded starts.  A resumed session whose checkpoint
+        passes both checks repairs exactly where the live one would.
+        """
+        first = self._closed_count - len(starts)
+        closed = sorted(index for index in groups if index < self._closed_count)
+        if len(starts) > REORDER_HORIZON or closed != list(
+            range(first, self._closed_count)
+        ):
+            raise CheckpointError(
+                f"checkpoint keeps {len(closed)} closed group(s) with "
+                f"{len(starts)} start position(s); expected one start per "
+                f"retained group, at most {REORDER_HORIZON}"
+            )
+        if not starts:
+            return []
+        replay = StreamingGroupExtractor(self._window, grouping=self._grouping)
+        span = self._journal.events_from(starts[0])[: max(0, pending_start - starts[0])]
+        replayed = replay.feed_many(span)
+        trailing = replay.flush()
+        if trailing is not None:
+            replayed.append(trailing)
+        retained = [(start, groups[first + offset]) for offset, start in enumerate(starts)]
+        if _located(replayed, pending_start) != retained:
+            raise CheckpointError(
+                "checkpoint retained groups do not match the store's journal"
+            )
+        return retained
+
+
+def _located(
+    groups: list[WriteGroup], end: int
+) -> list[tuple[int, frozenset[str]]]:
+    """``(journal position of the first event, keys)`` of consecutive
+    groups whose last one ends just before journal position ``end``."""
+    located = []
+    for group in reversed(groups):
+        end -= len(group.events)
+        located.append((end, group.keys))
+    located.reverse()
+    return located
 
 
 class ShardedPipeline:
@@ -1012,6 +1141,7 @@ class ShardedPipeline:
             self._reset()
             session_rebuilt = True
         events = groups = dirty = total = reclustered = reused = absorbed = 0
+        repaired = 0
         merges_reused = merges_recomputed = kernel_components = 0
         engine_rebuilt = False
         changed = False
@@ -1034,6 +1164,7 @@ class ShardedPipeline:
             reclustered += result.stats.components_reclustered
             reused += result.stats.components_reused
             absorbed += result.stats.reorders_absorbed
+            repaired += result.stats.reorders_repaired
             merges_reused += result.stats.merges_reused
             merges_recomputed += result.stats.merges_recomputed
             kernel_components += result.stats.kernel_components
@@ -1061,6 +1192,7 @@ class ShardedPipeline:
             components_reused=reused,
             rebuilt=session_rebuilt or engine_rebuilt,
             reorders_absorbed=absorbed,
+            reorders_repaired=repaired,
             shards_updated=len(pending),
             shards_total=len(self._engines),
             shard_timings=shard_timings,

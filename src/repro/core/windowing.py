@@ -147,7 +147,8 @@ class StreamingGroupExtractor:
         sequentially and never look ahead.  Only events still in the open
         trailing group can be rewound; re-opening an already-closed group
         would require retracting emitted :class:`WriteGroup` objects, which
-        the extractor does not support — callers rebuild instead.
+        the extractor does not support — callers start a fresh extractor
+        at a group boundary and re-feed from there instead.
         """
         if count < 0:
             raise ValueError(f"rewind count must be non-negative, got {count}")

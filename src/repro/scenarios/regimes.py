@@ -186,8 +186,8 @@ def flooded_delivery(
     event of *k* is flushed first — because the loggers guarantee that
     order and the TTKV enforces it at append time.  Everything else may
     arrive arbitrarily shuffled within the displacement bound, which is
-    precisely the regime the journal's reorder buffer and the engines'
-    absorb-vs-rebuild cursor logic exist for.
+    precisely the regime the journal's reorder-tolerant reads and the
+    engines' absorb / repair / rebuild logic exist for.
 
     The result is a permutation of ``events`` plus duplicates; feeding
     it to :meth:`repro.ttkv.store.TTKV.record_events` yields a journal

@@ -273,6 +273,7 @@ class StreamScenarioResult:
     events: int
     updates: int
     reorders_absorbed: int
+    reorders_repaired: int
     rebuilds: int
     clusters: ClusterSet
     equal_to_batch: bool | None
@@ -307,7 +308,7 @@ def run_stream_scenario(
         correlation_threshold=config.pipeline.correlation_threshold,
         linkage=config.pipeline.linkage,
     )
-    updates = reorders = rebuilds = fed = 0
+    updates = reorders = repaired = rebuilds = fed = 0
     try:
         for chunk in _chunked(
             machine.delivery,
@@ -320,6 +321,7 @@ def run_stream_scenario(
             stats = pipeline.last_stats
             if stats is not None:
                 reorders += stats.reorders_absorbed
+                repaired += stats.reorders_repaired
                 rebuilds += int(stats.rebuilt)
             if on_update is not None:
                 clusters = pipeline.cluster_set
@@ -345,6 +347,7 @@ def run_stream_scenario(
         events=len(machine.delivery),
         updates=updates,
         reorders_absorbed=reorders,
+        reorders_repaired=repaired,
         rebuilds=rebuilds,
         clusters=clusters,
         equal_to_batch=equal,

@@ -20,14 +20,15 @@ appended instead:
   *inside its consumed prefix* — the consumer's view of history changed and
   it must rebuild from scratch.  Insertions in the unread suffix leave
   cursors valid;
-- consumers that can cheaply undo their most recent work (the streaming
-  clustering engine can, for events still inside its provisional trailing
-  write group) use :meth:`EventJournal.read_flexible` instead: rather than
-  raising, it *re-delivers* the reordered consumed suffix and reports how
-  many already-consumed events the caller must first rewind.  This is the
-  bounded reorder buffer of ROADMAP.md — a logger race that lands within
-  the consumer's trailing window becomes an O(buffer) fixup instead of a
-  full rebuild.
+- consumers that can cheaply undo their most recent work use
+  :meth:`EventJournal.read_flexible` instead: rather than raising, it
+  *re-delivers* the reordered consumed suffix and reports how many
+  already-consumed events the caller must first rewind.  The streaming
+  clustering engine undoes a rewind inside its provisional trailing write
+  group in place, and one reaching into its last few closed groups by
+  retracting them and re-extracting the journal from the first one's
+  start (:meth:`events_from`), so a logger race costs a few write groups
+  of work instead of a rebuild from the whole journal.
 
 Cursors serialise to JSON-safe dicts (:meth:`JournalCursor.to_state`) so a
 clustering session can be checkpointed and resumed without re-reading its
@@ -295,9 +296,8 @@ class EventJournal:
         if cursor is None:
             start = 0
         else:
-            for index in self._insertions[cursor.epoch:]:
-                if index < cursor.position:
-                    raise StaleCursorError(cursor.position)
+            if self.reorder_depth(cursor):
+                raise StaleCursorError(cursor.position)
             start = cursor.position
         return EventSliceView(self._events, start, len(self._events)), JournalCursor(
             len(self._events), len(self._insertions)
@@ -317,17 +317,14 @@ class EventJournal:
         events.  ``rewound`` is 0 on the ordinary in-order path, so
         ``read_flexible`` is a drop-in replacement for consumers that can
         rewind recent work (the streaming clustering engine can, while the
-        affected events still sit in its provisional trailing group).
+        affected events sit in its provisional trailing group or its last
+        few retained closed groups).
         """
         if cursor is None:
-            start = 0
-            rewound = 0
+            start = rewound = 0
         else:
-            start = cursor.position
-            for index in self._insertions[cursor.epoch:]:
-                if index < start:
-                    start = index
-            rewound = cursor.position - start
+            rewound = self.reorder_depth(cursor)
+            start = cursor.position - rewound
         return rewound, EventSliceView(self._events, start, len(self._events)), (
             JournalCursor(len(self._events), len(self._insertions))
         )

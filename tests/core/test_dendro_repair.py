@@ -426,12 +426,14 @@ class TestEngineRepair:
 
     def test_reorder_into_closed_group_rebuild_resets_cache(self):
         store = TTKV()
-        store.record_write("a", 1, 100.0)
-        store.record_write("b", 1, 100.0)
-        store.record_write("c", 1, 900.0)
+        for t in (100.0, 900.0, 1700.0, 2500.0, 3300.0):
+            store.record_write(f"k{t:.0f}a", 1, t)
+            store.record_write(f"k{t:.0f}b", 1, t)
         pipeline = ShardedPipeline(store)
         pipeline.update()
-        store.record_write("early", 1, 5.0)  # beyond the reorder buffer
+        # lands before the oldest of four closed groups: past the
+        # retractable horizon
+        store.record_write("early", 1, 5.0)
         result = pipeline.update()
         assert pipeline.last_stats.rebuilt
         assert pipeline.last_stats.merges_reused == 0

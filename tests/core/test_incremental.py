@@ -13,6 +13,7 @@ the per-profile trace sweep below together run well past that.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -214,24 +215,44 @@ class TestIncrementalBehaviour:
 
     def test_reorder_into_closed_group_triggers_rebuild(self):
         store = TTKV()
+        # five write groups: four closed, one provisional
+        for t in (100.0, 900.0, 1700.0, 2500.0, 3300.0):
+            store.record_write(f"k{t:.0f}a", 1, t)
+            store.record_write(f"k{t:.0f}b", 1, t)
+        pipeline = ShardedPipeline(store)
+        pipeline.update()
+        # the insertion lands before the oldest closed group, which is
+        # past the retractable horizon, so the session must rebuild
+        store.record_write("early", 1, 5.0)
+        incremental = pipeline.update()
+        assert pipeline.last_stats.rebuilt
+        assert pipeline.last_stats.reorders_absorbed == 0
+        assert pipeline.last_stats.reorders_repaired == 0
+        assert _key_sets(incremental) == _key_sets(cluster_settings(store))
+
+    def test_reorder_into_retained_closed_group_is_repaired(self):
+        store = TTKV()
         store.record_write("a", 1, 100.0)
         store.record_write("b", 1, 100.0)
         store.record_write("c", 1, 900.0)  # closes the {a, b} group
         pipeline = ShardedPipeline(store)
         pipeline.update()
-        # the insertion lands before the already-closed {a, b} group —
-        # beyond the reorder buffer, so the session must rebuild
+        # the insertion lands before the closed {a, b} group, which is
+        # still retained: the engine re-feeds from its start instead of
+        # rebuilding (all three consumed events are re-delivered)
         store.record_write("early", 1, 5.0)
         incremental = pipeline.update()
-        assert pipeline.last_stats.rebuilt
+        assert not pipeline.last_stats.rebuilt
         assert pipeline.last_stats.reorders_absorbed == 0
+        assert pipeline.last_stats.reorders_repaired == 3
         assert _key_sets(incremental) == _key_sets(cluster_settings(store))
 
-    def test_reorder_at_the_pending_group_boundary_rebuilds(self):
+    def test_reorder_at_pending_group_boundary_repairs(self):
         # the insertion re-delivers the *entire* pending group: its first
         # event is what closed the previous group, a decision the
         # extractor cannot retract.  Absorbing here used to split the
-        # closed group and silently diverge from batch.
+        # closed group and silently diverge from batch; the repair
+        # re-extracts from the closed group's start instead.
         store = TTKV()
         store.record_write("a", 1, 10.0)
         store.record_write("b", 1, 100.0)
@@ -239,9 +260,84 @@ class TestIncrementalBehaviour:
         pipeline.update()
         store.record_write("race", 1, 10.0)  # joins the closed {a} group
         incremental = pipeline.update()
-        assert pipeline.last_stats.rebuilt
+        assert not pipeline.last_stats.rebuilt
         assert pipeline.last_stats.reorders_absorbed == 0
+        assert pipeline.last_stats.reorders_repaired == 1
         assert _key_sets(incremental) == _key_sets(cluster_settings(store))
+
+    def test_insert_bridging_two_closed_groups_is_repaired(self):
+        store = TTKV()
+        store.record_write("a", 1, 0.0)
+        store.record_write("b", 1, 100.0)  # closes {a}
+        store.record_write("c", 1, 500.0)  # closes {b}
+        pipeline = ShardedPipeline(store, window=60.0)
+        pipeline.update()
+        (engine,) = pipeline._engines.values()
+        structure = engine._matrix.structure_version
+        # within the window of both closed neighbours: {a} and {b}
+        # become one group {a, x, b}
+        store.record_write("x", 1, 50.0)
+        incremental = pipeline.update()
+        stats = pipeline.last_stats
+        assert not stats.rebuilt
+        assert stats.reorders_repaired == 2
+        # growth only: the repair stays on the dirty-region splice path
+        assert engine._matrix.structure_version == structure
+        assert ("a", "b", "x") in _key_sets(incremental)
+        assert _key_sets(incremental) == _key_sets(
+            cluster_settings(store, window=60.0)
+        )
+
+    def test_bridging_repair_shrinks_the_horizon_and_round_trips(self):
+        store = TTKV()
+        for t in (0.0, 1000.0, 2000.0, 3000.0, 3100.0, 3500.0):
+            store.record_write(f"k{t:.0f}", 1, t)
+        pipeline = ShardedPipeline(store, window=60.0)
+        pipeline.update()
+        # bridges the closed {k3000} and {k3100}: one fewer closed group,
+        # so only two closed groups stay retained until more close
+        store.record_write("x", 1, 3050.0)
+        pipeline.update()
+        assert pipeline.last_stats.reorders_repaired == 2
+        (shard,) = pipeline.to_state()["shards"].values()
+        assert shard["starts"] == [2, 3]
+        resumed = ShardedPipeline.from_state(
+            store, json.loads(json.dumps(pipeline.to_state()))
+        )
+        # reaches back into {k2000}: still retained, so both sessions
+        # repair rather than rebuild
+        store.record_write("y", 1, 2010.0)
+        for session in (pipeline, resumed):
+            clusters = session.update()
+            assert session.last_stats.reorders_repaired == 4
+            assert not session.last_stats.rebuilt
+            assert _key_sets(clusters) == _key_sets(
+                cluster_settings(store, window=60.0)
+            )
+        resumed.close()
+
+    def test_duplicate_inside_the_horizon_repairs_nothing(self):
+        store = TTKV()
+        store.record_write("a", 1, 100.0)
+        store.record_write("b", 1, 100.0)
+        store.record_write("c", 1, 900.0)
+        store.record_write("d", 1, 1700.0)
+        pipeline = ShardedPipeline(store)
+        before = pipeline.update()
+        (engine,) = pipeline._engines.values()
+        structure = engine._matrix.structure_version
+        # a retransmitted write lands inside the closed {a, b} group and
+        # leaves every write group's key set as it was
+        store.record_write("a", 1, 100.0)
+        after = pipeline.update()
+        stats = pipeline.last_stats
+        assert not stats.rebuilt
+        assert stats.reorders_repaired == 2
+        assert stats.dirty_keys == 0
+        assert stats.components_reclustered == 0
+        assert engine._matrix.structure_version == structure
+        assert _key_sets(after) == _key_sets(before)
+        assert _key_sets(after) == _key_sets(cluster_settings(store))
 
     def test_reorder_absorption_matches_batch_when_group_merges(self):
         # the inserted event falls within the trailing group's window, so

@@ -318,9 +318,9 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError):
             ShardedPipeline.from_state(TTKV(), {"version": 99})
 
-    def test_checkpoints_are_written_at_version_5(self):
+    def test_checkpoints_are_written_at_version_6(self):
         pipeline = ShardedPipeline(TTKV(), shard_prefixes=("a/",))
-        assert pipeline.to_state()["version"] == STATE_VERSION == 5
+        assert pipeline.to_state()["version"] == STATE_VERSION == 6
         pipeline.close()
 
     def _relabelled(self, version, **params):
@@ -333,6 +333,15 @@ class TestCheckpointValidation:
         state["version"] = version
         state["params"].update(params)
         return store, state
+
+    def test_v5_checkpoint_rejected(self):
+        # version 5 kept no retained-group start positions, so a resumed
+        # session could not repair a reorder where a live one would
+        store, state = self._relabelled(5)
+        for shard in state["shards"].values():
+            del shard["starts"]
+        with pytest.raises(CheckpointError, match="unsupported .* version 5"):
+            ShardedPipeline.from_state(store, state)
 
     def test_v4_checkpoint_rejected(self):
         # version 4 also recorded the repair mode and kernel in its params
@@ -452,6 +461,18 @@ class TestRestoreMismatchErrors:
         shard["groups"] = [[shard["closed_count"], ["a/elsewhere"]]]
         self._assert_mismatch(store, state, "provisional group")
 
+    def test_retained_group_starts_missing(self):
+        store, state = self._state()
+        state["shards"]["a/"]["starts"] = []
+        self._assert_mismatch(store, state, "start position")
+
+    def test_retained_group_starts_off_the_journal(self):
+        store, state = self._state()
+        shard = state["shards"]["a/"]
+        assert shard["starts"] == [0, 2]
+        shard["starts"] = [0, 1]
+        self._assert_mismatch(store, state, "retained groups do not match")
+
     def test_foreign_dendrogram(self):
         store, state = self._state()
         state["shards"]["a/"]["dendrograms"] = [
@@ -469,14 +490,24 @@ class TestRestoreMismatchErrors:
 class TestTypedCheckpointErrors:
     """Damaged checkpoints raise typed errors, never bare KeyError/TypeError.
 
-    Covers the current state version: a truncated or corrupted
-    checkpoint — missing fields, wrong-typed sections, mangled shard
-    entries — must surface as
-    :class:`~repro.exceptions.CorruptCheckpointError` with the faulty
-    field named, and an unknown version as
-    :class:`~repro.exceptions.CheckpointError`.  Both subclass
-    ``ValueError``, so pre-existing callers keep working.
+    At the current state version a truncated or corrupted checkpoint —
+    missing fields, wrong-typed sections, mangled shard entries — must
+    surface as :class:`~repro.exceptions.CorruptCheckpointError` with the
+    faulty field named.  A damaged checkpoint of the retired version 5 is
+    refused as unsupported, a :class:`~repro.exceptions.CheckpointError`,
+    before any of its fields is read.  Both subclass ``ValueError``, so
+    pre-existing callers keep working.
     """
+
+    VERSIONS = (5, STATE_VERSION)
+
+    @staticmethod
+    def _raises(version, match):
+        if version == STATE_VERSION:
+            return pytest.raises(CorruptCheckpointError, match=match)
+        return pytest.raises(
+            CheckpointError, match=f"unsupported .* version {version}"
+        )
 
     def _state(self, version):
         store = TTKV()
@@ -493,33 +524,33 @@ class TestTypedCheckpointErrors:
         with pytest.raises(CheckpointError, match="version"):
             ShardedPipeline.from_state(TTKV(), {"version": 99})
 
-    @pytest.mark.parametrize("version", (STATE_VERSION,))
+    @pytest.mark.parametrize("version", VERSIONS)
     @pytest.mark.parametrize("missing", ("params", "shards"))
     def test_missing_section_raises_corrupt_error(self, version, missing):
         store, state = self._state(version)
         del state[missing]
-        with pytest.raises(CorruptCheckpointError, match="truncated or corrupt"):
+        with self._raises(version, "truncated or corrupt"):
             ShardedPipeline.from_state(store, state)
 
-    @pytest.mark.parametrize("version", (STATE_VERSION,))
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_missing_param_raises_corrupt_error(self, version):
         store, state = self._state(version)
         del state["params"]["key_filter"]
-        with pytest.raises(CorruptCheckpointError, match="key_filter"):
+        with self._raises(version, "key_filter"):
             ShardedPipeline.from_state(store, state)
 
-    @pytest.mark.parametrize("version", (STATE_VERSION,))
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_wrong_typed_params_raise_corrupt_error(self, version):
         store, state = self._state(version)
         state["params"] = "not-a-dict"
-        with pytest.raises(CorruptCheckpointError):
+        with self._raises(version, "truncated or corrupt"):
             ShardedPipeline.from_state(store, state)
 
-    @pytest.mark.parametrize("version", (STATE_VERSION,))
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_mangled_shard_entry_names_the_shard(self, version):
         store, state = self._state(version)
         state["shards"]["a/"] = {"truncated": True}
-        with pytest.raises(CorruptCheckpointError, match="a/"):
+        with self._raises(version, "a/"):
             ShardedPipeline.from_state(store, state)
 
     def test_typed_errors_remain_valueerrors(self):
