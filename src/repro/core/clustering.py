@@ -227,6 +227,7 @@ def agglomerate_clusters(
     linkage: str,
     *,
     kernel: str = KERNEL_PYTHON,
+    max_distance: float = math.inf,
 ) -> list[Merge]:
     """Heap-driven HAC continued from an arbitrary disjoint partition.
 
@@ -247,6 +248,12 @@ def agglomerate_clusters(
     (:mod:`repro.core.hac_kernel`) when it resolves to ``"numpy"`` for
     this component's size and linkage; the merges are bit-identical
     either way, only the cost differs.
+
+    ``max_distance`` bounds the run: only merges at or below it are
+    performed.  For complete and single linkage, whose merge distances
+    never decrease, those are exactly the full run's first merges — the
+    ones a cut at ``max_distance`` reads.  The default keeps the full
+    history (batch :func:`hac`, the threshold sweeps).
     """
     members: dict[int, frozenset[str]] = dict(enumerate(clusters))
     if len(members) > 1 and sorted(members.values(), key=min) != list(clusters):
@@ -264,11 +271,15 @@ def agglomerate_clusters(
             square = block.square.copy()
         else:
             square = hac_kernel.seed_matrix(block, clusters, linkage)
-        return hac_kernel.agglomerate_square(square, clusters, linkage)
+        return hac_kernel.agglomerate_square(
+            square, clusters, linkage, max_distance
+        )
 
     dist = seed_distances(matrix, clusters, linkage)
+    # Entries above the bound stay in ``dist`` (the Lance–Williams updates
+    # read them) but never enter the heap: the run stops when it drains.
     heap: list[tuple[float, int, int]] = [
-        (d, *sorted(pair)) for pair, d in dist.items()
+        (d, *sorted(pair)) for pair, d in dist.items() if d <= max_distance
     ]
     heapq.heapify(heap)
     merges: list[Merge] = []
@@ -301,7 +312,10 @@ def agglomerate_clusters(
             if not math.isinf(new_distance):
                 new_pair = frozenset((merged_id, other_id))
                 dist[new_pair] = new_distance
-                heapq.heappush(heap, (new_distance, *sorted((merged_id, other_id))))
+                if new_distance <= max_distance:
+                    heapq.heappush(
+                        heap, (new_distance, *sorted((merged_id, other_id)))
+                    )
         dist.pop(pair, None)
         members[merged_id] = merged
 

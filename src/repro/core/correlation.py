@@ -62,6 +62,35 @@ def distance_to_correlation(value: float) -> float:
     return 1.0 / value
 
 
+def _net(
+    removed: list[tuple[int, list[str]]], added: list[tuple[int, list[str]]]
+) -> tuple[list, list, list[int], list]:
+    """Cancel retractions against registrations of the same key set.
+
+    Returns ``(removed, added, freed, moved)``: the retractions and
+    registrations left over, then the indices of the cancelled
+    retractions and the registrations that cancelled them — together
+    they only move groups to new indices.
+    """
+    gone: dict[tuple[str, ...], list[int]] = {}
+    for index, members in removed:
+        gone.setdefault(tuple(members), []).append(index)
+    kept: list[tuple[int, list[str]]] = []
+    moved: list[tuple[int, list[str]]] = []
+    freed: list[int] = []
+    for entry in added:
+        indices = gone.get(tuple(entry[1]))
+        if indices:
+            freed.append(indices.pop())
+            moved.append(entry)
+        else:
+            kept.append(entry)
+    if not moved:
+        return removed, added, freed, moved
+    cancelled = set(freed)
+    return [e for e in removed if e[0] not in cancelled], kept, freed, moved
+
+
 class CorrelationMatrix:
     """Sparse pairwise correlations over a set of keys.
 
@@ -146,9 +175,13 @@ class CorrelationMatrix:
         """Apply a batch of group retractions and additions.
 
         Removals run first so a provisional group can be replaced by its
-        extended version under the same index in one call.  Returns the set
-        of keys whose correlations may have changed (the union of all
-        touched groups' keys) — the dirty set driving partial re-clustering.
+        extended version under the same index in one call.  Retracted and
+        registered key sets are netted as multisets: a group registered
+        again with the same keys (a provisional group that closed
+        unchanged, a re-extracted group whose index shifted) only moves its
+        index and changes no count.  Returns the set of keys whose
+        correlations may have changed (the union of the keys of the groups
+        that did not cancel) — the dirty set driving partial re-clustering.
 
         The whole batch is validated before any state is touched, so a
         rejected update leaves the matrix exactly as it was.  A retraction
@@ -191,6 +224,12 @@ class CorrelationMatrix:
                     "reused"
                 )
 
+        moved: list[tuple[int, list[str]]] = []
+        if removed and added:
+            removed, added, freed, moved = _net(removed, added)
+            for index in freed:
+                del self._group_members[index]
+
         counts = self._counts
         adj = self._adj
         dirty: set[str] = set()
@@ -215,6 +254,8 @@ class CorrelationMatrix:
                     del counts[key], adj[key]
                     lost_keys.add(key)
             del self._group_members[index]
+        for index, members in moved:
+            self._group_members[index] = frozenset(members)
         for index, members in added:
             dirty.update(members)
             self._group_members[index] = frozenset(members)
@@ -796,6 +837,16 @@ class CorrelationMatrix:
 
         np = require_numpy()
         component = frozenset(component)
+        block = self._blocks.get(component)
+        if block is not None:
+            # Same key set as the cached block: refresh the rows of keys
+            # dirtied since it was built, in place — no allocation, no
+            # O(n²) copy.  (A cached block's keys all map to it: a later
+            # block over any of them would have absorbed or dropped it.)
+            pending = self._block_dirty.pop(component, None)
+            if pending:
+                self._fill_block_rows(np, block.square, block.index, pending)
+            return block
         covering: dict[frozenset[str], object] = {}
         for key in component:
             owner = self._block_of_key.get(key)
@@ -803,17 +854,6 @@ class CorrelationMatrix:
                 block = self._blocks.get(owner)
                 if block is not None:
                     covering[owner] = block
-        if len(covering) == 1:
-            (owner, block), = covering.items()
-            if owner == component:
-                # Same key set as the cached block: refresh the rows of
-                # keys dirtied since it was built, in place — no
-                # allocation, no O(n²) copy.
-                pending = self._block_dirty.pop(owner, None)
-                if pending:
-                    self._fill_block_rows(np, block.square, block.index, pending)
-                return block
-
         keys = sorted(component)
         index = {key: i for i, key in enumerate(keys)}
         square = np.full((len(keys), len(keys)), INFINITE_DISTANCE)

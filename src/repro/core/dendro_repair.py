@@ -41,6 +41,19 @@ dendrogram straddles the component boundary, or the spliced merge list
 fails validation) the repair falls back to a wholesale rebuild — the
 fallback is a performance event, never a correctness one.
 
+**Bounded at the cut.**  The streaming engines only ever cut at their
+own threshold distance τ, so their dendrograms stop there: every function
+here takes ``max_distance`` (default ``inf``, the full history) and
+builds, splices and re-agglomerates only up to it, recording it as the
+dendrogram's horizon.  Complete and single linkage are monotone, so the
+merges at or below τ are a prefix of the full run, and a bounded repair
+equals the full one cut at τ.  The bound also gives the cheapest repair
+of all: when the splice line lies above τ (and no cached merge sits at
+the line), the update cannot create or undo any merge at or below τ, so
+the cached merges are returned as they are — no seed matrix, no
+agglomeration.  A bounded cache without merges is evidence too ("nothing
+merges at or below τ") and splices like any other.
+
 Splicing is exact for ``complete`` and ``single`` linkage, whose
 Lance–Williams updates are pure ``max``/``min`` over the base distances.
 ``average`` linkage accumulates floating-point rounding along the merge
@@ -66,6 +79,20 @@ Example — a 120-key component, its farthest key touched::
     ...     matrix, component, "complete"
     ... ).merges
     True
+
+Bounded at a threshold distance of 0.75 the same component keeps only
+its merges at or below it.  Another write to ``k119`` moves only pairs
+already above the bound, so the cached dendrogram stands as it is::
+
+    >>> bounded = build_dendrogram(matrix, component, "complete", max_distance=0.75)
+    >>> len(bounded.merges), bounded.horizon
+    (114, 0.75)
+    >>> matrix.observe_group(501, ["k119"])
+    >>> outcome = splice_dendrogram(
+    ...     matrix, component, {"k119"}, [bounded], "complete", max_distance=0.75
+    ... )
+    >>> outcome.dendrogram is bounded, outcome.merges_reused, outcome.merges_recomputed
+    (True, 114, 0)
 """
 
 from __future__ import annotations
@@ -113,8 +140,9 @@ class SpliceOutcome:
     prefix); ``merges_recomputed`` counts merges the seeded agglomeration
     re-derived.  ``spliced`` says whether the splice path actually ran —
     ``False`` means a wholesale rebuild (no usable cache, or a safety
-    fallback).  ``kernel`` records which implementation derived
-    the recomputed merges (``"numpy"`` or ``"python"``); ``seed_cache``
+    fallback).  ``kernel`` records the implementation the component was
+    dispatched to (``"numpy"`` or ``"python"``), which derived the
+    recomputed merges if there were any; ``seed_cache``
     carries the refreshed inter-seed distances for the next repair of
     this component (numpy splice path only).
     """
@@ -133,23 +161,26 @@ def build_dendrogram(
     linkage: str,
     *,
     kernel: str = KERNEL_PYTHON,
+    max_distance: float = math.inf,
 ) -> Dendrogram:
     """Wholesale agglomeration of one component into a dendrogram.
 
     The rebuild half of every repair: also the fallback target whenever
-    :func:`splice_dendrogram` cannot prove its cache valid.
+    :func:`splice_dendrogram` cannot prove its cache valid.  The
+    dendrogram is bounded at ``max_distance`` (its horizon).
     """
     component = frozenset(component)
     if len(component) < 2:
-        return Dendrogram(component, [])
+        return Dendrogram(component, [], max_distance)
     merges = agglomerate_clusters(
         matrix,
         [frozenset((key,)) for key in sorted(component)],
         linkage,
         kernel=kernel,
+        max_distance=max_distance,
     )
     merges.sort(key=lambda merge: merge.distance)
-    return Dendrogram(component, merges)
+    return Dendrogram(component, merges, max_distance)
 
 
 def rebuild_outcome(
@@ -158,9 +189,12 @@ def rebuild_outcome(
     linkage: str,
     *,
     kernel: str = KERNEL_PYTHON,
+    max_distance: float = math.inf,
 ) -> SpliceOutcome:
     """A wholesale rebuild packaged as a :class:`SpliceOutcome`."""
-    dendrogram = build_dendrogram(matrix, component, linkage, kernel=kernel)
+    dendrogram = build_dendrogram(
+        matrix, component, linkage, kernel=kernel, max_distance=max_distance
+    )
     return SpliceOutcome(
         dendrogram=dendrogram,
         merges_reused=0,
@@ -235,6 +269,7 @@ def splice_dendrogram(
     *,
     kernel: str = KERNEL_PYTHON,
     seed_caches: Sequence[SeedDistanceCache] = (),
+    max_distance: float = math.inf,
 ) -> SpliceOutcome:
     """Repair one dirty component by splicing its cached merge history.
 
@@ -266,13 +301,23 @@ def splice_dendrogram(
         records) so only rows of seeds touching dirty keys are
         re-reduced — and the merge loop runs on the array kernel.
         Results are bit-identical across kernels.
+    max_distance:
+        The horizon to agglomerate up to.  Every cached dendrogram must
+        carry the same horizon.
 
     Returns a :class:`SpliceOutcome` whose dendrogram is bit-identical to
     :func:`build_dendrogram` on the same inputs.  Falls back to the
     wholesale rebuild (``spliced=False``) when the cache is unusable:
     a cached dendrogram straddling the component boundary (a retraction
-    shrank components), overlapping caches, or a spliced merge list that
-    fails the dendrogram's ordering validation.
+    shrank components), overlapping caches, a cache bounded at another
+    horizon, or a spliced merge list that fails the dendrogram's ordering
+    validation.
+
+    When the splice line lies above ``max_distance`` and no cached merge
+    sits at the line, the cached merges are the whole answer: nothing
+    merges at or below the horizon that did not before.  The repair then
+    agglomerates nothing, and a single cache that already spans the
+    component comes back as the very same object.
 
     >>> from repro.core.correlation import CorrelationMatrix
     >>> matrix = CorrelationMatrix({"a": {0}, "b": {0}, "c": {0, 1}})
@@ -285,27 +330,38 @@ def splice_dendrogram(
     (True, 1, 1)
     """
     component = frozenset(component)
+
+    def rebuild() -> SpliceOutcome:
+        return rebuild_outcome(
+            matrix, component, linkage, kernel=kernel, max_distance=max_distance
+        )
+
     if linkage == LINKAGE_AVERAGE:
         # Lance–Williams average linkage rounds differently along a
         # seeded path than along the singleton path (nested weighted
         # means vs one mean) — the results can differ in the last ulp.
         # Bit-identical beats fast here.
-        return rebuild_outcome(matrix, component, linkage, kernel=kernel)
+        return rebuild()
     affected = {key for key in dirty if key in component}
 
     covered: set[str] = set()
     for dendrogram in cached:
         items = dendrogram.items
-        if not items <= component or items & covered:
+        if (
+            not items <= component
+            or items & covered
+            or dendrogram.horizon != max_distance
+        ):
             # A cached dendrogram holds keys outside the component (it
-            # shrank — retraction territory) or two caches overlap; the
-            # prefix argument no longer applies.
-            return rebuild_outcome(matrix, component, linkage, kernel=kernel)
+            # shrank — retraction territory), two caches overlap, or a
+            # cache was bounded elsewhere; the prefix argument no longer
+            # applies.
+            return rebuild()
         covered |= items
     # Keys no cache knows about joined the component in this update.
     affected |= component - covered
-    if not affected or not any(dendrogram.merges for dendrogram in cached):
-        return rebuild_outcome(matrix, component, linkage, kernel=kernel)
+    if not affected:
+        return rebuild()
 
     resolved = resolve_kernel(kernel, linkage, len(component))
     block = None
@@ -334,6 +390,23 @@ def splice_dendrogram(
     # HAC is order-sensitive); below the line they form a sorted suffix.
     while prefix and math.isclose(prefix[-1].distance, splice_at):
         prefix.pop()
+    if splice_at > max_distance and len(prefix) == sum(map(len, cached)):
+        # Below the line the update changed nothing, and the line lies
+        # above the horizon: the new run's merges at or below the horizon
+        # are exactly the cached ones.  No seed matrix, no kernel call.
+        # (The seed-distance caches are dropped: their rows of affected
+        # seeds are stale now.)
+        if len(cached) == 1 and cached[0].items == component:
+            dendrogram = cached[0]
+        else:
+            dendrogram = Dendrogram(component, prefix, max_distance)
+        return SpliceOutcome(
+            dendrogram=dendrogram,
+            merges_reused=len(prefix),
+            merges_recomputed=0,
+            spliced=True,
+            kernel=resolved,
+        )
 
     seeds = surviving_clusters(component, prefix)
     seed_cache: SeedDistanceCache | None = None
@@ -345,17 +418,19 @@ def splice_dendrogram(
             linkage=linkage, seeds=tuple(seeds), matrix=seed_square
         )
         new_merges = hac_kernel.agglomerate_square(
-            seed_square.copy(), seeds, linkage
+            seed_square.copy(), seeds, linkage, max_distance
         )
     else:
-        new_merges = agglomerate_clusters(matrix, seeds, linkage)
+        new_merges = agglomerate_clusters(
+            matrix, seeds, linkage, max_distance=max_distance
+        )
     new_merges.sort(key=lambda merge: merge.distance)
     try:
-        dendrogram = Dendrogram(component, prefix + new_merges)
+        dendrogram = Dendrogram(component, prefix + new_merges, max_distance)
     except ValueError:
         # The seeded continuation produced a merge below the kept prefix —
         # the cache was inconsistent with the matrix.  Never guess.
-        return rebuild_outcome(matrix, component, linkage, kernel=kernel)
+        return rebuild()
     return SpliceOutcome(
         dendrogram=dendrogram,
         merges_reused=len(prefix),
@@ -431,7 +506,8 @@ def dendrogram_to_state(dendrogram: Dendrogram) -> dict:
     where ``left``/``right`` reference either an item (index < number of
     items) or an earlier merge's result (number of items + merge index) —
     the SciPy linkage-matrix convention, O(merges) instead of the O(n²)
-    of spelling every member set out.
+    of spelling every member set out.  A bounded dendrogram records its
+    ``horizon``; an unbounded one omits it.
 
     >>> from repro.core.correlation import CorrelationMatrix
     >>> matrix = CorrelationMatrix({"a": {0, 1}, "b": {0, 1}, "c": {1}})
@@ -457,11 +533,18 @@ def dendrogram_to_state(dendrogram: Dendrogram) -> dict:
             ) from None
         merges.append([left, right, merge.distance])
         node_of[merge.members] = len(items) + offset
-    return {"items": items, "merges": merges}
+    state = {"items": items, "merges": merges}
+    if not math.isinf(dendrogram.horizon):
+        state["horizon"] = dendrogram.horizon
+    return state
 
 
 def dendrogram_from_state(state: dict) -> Dendrogram:
-    """Rebuild a dendrogram from :func:`dendrogram_to_state` output."""
+    """Rebuild a dendrogram from :func:`dendrogram_to_state` output.
+
+    Raises :class:`ValueError` when a merge lies above the recorded
+    horizon.
+    """
     items = [str(item) for item in state["items"]]
     nodes: list[frozenset[str]] = [frozenset((item,)) for item in items]
     merges: list[Merge] = []
@@ -473,4 +556,7 @@ def dendrogram_from_state(state: dict) -> Dendrogram:
             Merge(left=left, right=right, distance=float(distance), members=members)
         )
         nodes.append(members)
-    return Dendrogram(frozenset(items), merges)
+    horizon = state.get("horizon")
+    return Dendrogram(
+        frozenset(items), merges, math.inf if horizon is None else float(horizon)
+    )

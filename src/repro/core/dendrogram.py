@@ -12,6 +12,14 @@ of an earlier merge that no later merge has consumed yet.  A flat cut is
 therefore just the forest of roots of a merge prefix (the SciPy
 linkage-matrix view), which :func:`partition_after` reads off in
 O(merges applied).
+
+A dendrogram may be *bounded*: built only up to a ``horizon`` distance,
+it holds exactly the merges at or below the horizon (complete and single
+linkage are monotone, so the first merge above it ends that prefix).  Its
+cuts at or below the horizon equal the full dendrogram's; a cut above the
+horizon would silently miss merges and raises instead.  The streaming
+engines build bounded dendrograms at their own threshold, batch
+:func:`~repro.core.clustering.hac` builds unbounded ones.
 """
 
 from __future__ import annotations
@@ -92,17 +100,27 @@ def partition_after(
 
 
 class Dendrogram:
-    """Full merge history over a set of items.
+    """Merge history over a set of items, up to a horizon distance.
 
     Merges are stored in non-decreasing distance order (HAC always merges
     the closest pair next), which :meth:`cut` relies on, and each merge
     joins two live clusters (see :func:`partition_after`), so every
     prefix of the merge list is a forest.
+
+    ``horizon`` is the distance the agglomeration ran up to: every merge
+    lies at or below it, and the merges at or below it are all there.
+    The default ``inf`` is the full history.
     """
 
-    def __init__(self, items: set[str] | frozenset[str], merges: list[Merge]) -> None:
+    def __init__(
+        self,
+        items: set[str] | frozenset[str],
+        merges: list[Merge],
+        horizon: float = math.inf,
+    ) -> None:
         self.items = frozenset(items)
         self.merges = list(merges)
+        self.horizon = horizon
         self._distances: list[float] = []
         last = -math.inf
         for merge in self.merges:
@@ -112,6 +130,10 @@ class Dendrogram:
             self._distances.append(last)
             if not (merge.left | merge.right) == merge.members:
                 raise ValueError("merge members must be the union of its halves")
+        if last > horizon:
+            raise ValueError(
+                f"merge at distance {last} lies above the horizon {horizon}"
+            )
         if self.merges:
             partition_after(self.items, self.merges)  # every side is live
 
@@ -136,7 +158,20 @@ class Dendrogram:
         [['a', 'b'], ['c'], ['d']]
         >>> [sorted(c) for c in dendrogram.cut(2.0)]
         [['a', 'b', 'c'], ['d']]
+
+        A bounded dendrogram cuts only at or below its horizon:
+
+        >>> bounded = Dendrogram({"a", "b", "c", "d"}, merges[:1], horizon=0.5)
+        >>> bounded.cut(2.0)
+        Traceback (most recent call last):
+        ...
+        ValueError: cannot cut at 2.0 above the dendrogram's horizon 0.5
         """
+        if max_distance > self.horizon:
+            raise ValueError(
+                f"cannot cut at {max_distance} above the dendrogram's "
+                f"horizon {self.horizon}"
+            )
         applied = bisect_right(self._distances, max_distance)
         roots, singles = partition_after(
             self.items, islice(self.merges, applied)

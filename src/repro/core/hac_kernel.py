@@ -30,6 +30,12 @@ distances — including under distance ties.  This holds because:
   smallest ``(distance, id_a, id_b)`` candidate, which is precisely what
   the reference heap pops.
 
+**Bounded runs.**  :func:`agglomerate_square` stops at the first merge
+above ``max_distance``.  Complete and single linkage are monotone — no
+merge is ever cheaper than the one before it — so that merge ends the
+prefix a cut at ``max_distance`` reads, and the bounded run's merges are
+exactly the full run's merges at or below the bound.
+
 ``average`` linkage is *not* offered: its Lance–Williams update does
 float arithmetic whose rounding differs between a seeded and a
 from-scratch path, and this repository refuses ulp drift (see
@@ -231,6 +237,7 @@ def agglomerate_square(
     square: "_np.ndarray",
     clusters: Sequence[frozenset],
     linkage: str,
+    max_distance: float = math.inf,
 ) -> list[Merge]:
     """Heap-free HAC over a dense inter-cluster distance matrix.
 
@@ -242,7 +249,8 @@ def agglomerate_square(
 
     Returns the merges in the exact order
     :func:`repro.core.clustering.agglomerate_clusters` performs them
-    (see the module docstring for why the tie-breaks coincide).
+    (see the module docstring for why the tie-breaks coincide), up to
+    the last one at or below ``max_distance``.
     """
     np = require_numpy()
     if linkage not in KERNEL_LINKAGES:
@@ -290,8 +298,8 @@ def agglomerate_square(
     for _ in range(count - 1):
         id_a = int(nn_dist.argmin())
         distance = float(nn_dist[id_a])
-        if math.isinf(distance):
-            break  # remaining clusters have no finite linkage: stop
+        if distance > max_distance or math.isinf(distance):
+            break  # nothing left to merge at or below the bound
         id_b = int(nn_idx[id_a])
         left = members[id_a]
         right = members[id_b]

@@ -72,12 +72,17 @@ Example — two applications, updated and checkpointed::
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from repro.core.clustering import LINKAGE_COMPLETE, check_clustering_params
+from repro.core.clustering import (
+    LINKAGE_AVERAGE,
+    LINKAGE_COMPLETE,
+    check_clustering_params,
+)
 from repro.core.cluster_model import ClusterSet
 from repro.core.correlation import (
     CorrelationMatrix,
@@ -110,13 +115,15 @@ from repro.ttkv.store import TTKV
 #: Shard states carry a ``"compacted"`` aggregate baseline, their
 #: ``"groups"`` list holds only the retractable tail, their ``"starts"``
 #: list the journal position of each retained closed group's first event,
-#: and their ``"dendrograms"`` list is required.  Version 6 added
-#: ``"starts"`` (the bounded-suffix reorder repair); version 5 dropped the
-#: repair mode and kernel that version 4 recorded in its params.
-STATE_VERSION = 6
+#: and their ``"dendrograms"`` list is required.  Version 7 bounds each
+#: dendrogram at the threshold distance and records that ``"horizon"``;
+#: version 6 added ``"starts"`` (the bounded-suffix reorder repair);
+#: version 5 dropped the repair mode and kernel that version 4 recorded in
+#: its params.
+STATE_VERSION = 7
 
 #: Checkpoint versions :meth:`ShardedPipeline.from_state` accepts.
-SUPPORTED_STATE_VERSIONS = (6,)
+SUPPORTED_STATE_VERSIONS = (7,)
 
 #: Minimum closed groups one update folds through the matrix's bulk-ingest
 #: path (:meth:`ShardEngine._register_stream`); the routine
@@ -208,14 +215,20 @@ class ComponentModel:
     summed fleet matrix.  The owner mutates the matrix, then passes the
     keys the mutation dirtied to :meth:`refresh`.
 
-    Each reclustered component's full dendrogram is cached alongside its
-    flat clusters.  A dirty component is repaired by keeping the cached
-    merge prefix below the first affected linkage distance and
-    re-agglomerating only the surviving sub-clusters
-    (:mod:`repro.core.dendro_repair`).  The code falls back to a
-    wholesale re-agglomeration from singletons when it cannot prove the
-    cache valid: nothing cached, a lossy update, average linkage, a
-    cache straddling the component, or a failed order check.  Both paths
+    Each reclustered component's dendrogram is cached alongside its flat
+    clusters.  For complete and single linkage it is bounded at the
+    model's threshold distance: the model only ever cuts there (a new
+    threshold is a new model), so merges above it are never built.
+    Average linkage, which always rebuilds, keeps full dendrograms.  A
+    dirty component is repaired by keeping the cached merge prefix below
+    the first affected linkage distance and re-agglomerating only the
+    surviving sub-clusters up to the bound
+    (:mod:`repro.core.dendro_repair`); when that line lies above the
+    bound the cached dendrogram, and the component's flat clusters, are
+    kept as they are.  The code falls back to a wholesale
+    re-agglomeration from singletons when it cannot prove the cache
+    valid: nothing cached, a lossy update, average linkage, a cache
+    straddling the component, or a failed order check.  Both paths
     produce identical clusters — the cache only changes how much work a
     refresh does, and it survives checkpoints (:meth:`to_state`).
     """
@@ -231,6 +244,9 @@ class ComponentModel:
         self._window = window
         self._correlation_threshold = correlation_threshold
         self._max_distance = correlation_to_distance(correlation_threshold)
+        # the dendrograms' horizon: the cut distance, except for average
+        # linkage, which never splices and keeps the full history
+        self._horizon = math.inf if linkage == LINKAGE_AVERAGE else self._max_distance
         self._linkage = linkage
         self._component_cache: dict[frozenset[str], list[frozenset[str]]] = {}
         self._dendro_cache: dict[frozenset[str], Dendrogram] = {}
@@ -318,11 +334,14 @@ class ComponentModel:
         component: frozenset[str],
         dirty: set[str],
         dendro_of_key: dict[str, frozenset[str]],
+        probe: Iterable[str],
     ) -> SpliceOutcome:
         """Dendrogram for one dirty component — spliced when possible.
 
         ``dendro_of_key`` maps keys to the cached-dendrogram component
-        they belonged to before the update.  Those dendrograms are popped
+        they belonged to before the update; ``probe`` holds at least one
+        key of every such component inside ``component``.  Those
+        dendrograms are popped
         from the cache (they are consumed either way; the caller re-caches
         the repaired result) and spliced; with none cached the component
         re-agglomerates from singletons.  Each agglomeration runs on the
@@ -332,7 +351,7 @@ class ComponentModel:
         cached: list[Dendrogram] = []
         seed_caches: list[SeedDistanceCache] = []
         seen: set[frozenset[str]] = set()
-        for key in component:
+        for key in probe:
             old = dendro_of_key.get(key)
             if old is None or old in seen:
                 continue
@@ -356,9 +375,14 @@ class ComponentModel:
                 self._linkage,
                 kernel=KERNEL_AUTO,
                 seed_caches=seed_caches,
+                max_distance=self._horizon,
             )
         return rebuild_outcome(
-            self._matrix, component, self._linkage, kernel=KERNEL_AUTO
+            self._matrix,
+            component,
+            self._linkage,
+            kernel=KERNEL_AUTO,
+            max_distance=self._horizon,
         )
 
     def _rescan_components(
@@ -405,7 +429,9 @@ class ComponentModel:
                     # flat cut is missing
                     merges_reused += len(dendrogram.merges)
                 else:
-                    outcome = self._repair_component(frozen, dirty, dendro_of_key)
+                    outcome = self._repair_component(
+                        frozen, dirty, dendro_of_key, frozen
+                    )
                     dendrogram = outcome.dendrogram
                     merges_reused += outcome.merges_reused
                     merges_recomputed += outcome.merges_recomputed
@@ -443,13 +469,14 @@ class ComponentModel:
         when components merge, the group (or pair delta) that bridged them
         puts a key of each old component into ``dirty``, so evicting every
         dirty key's previously cached component removes exactly the entries
-        the merge invalidated.
+        the merge invalidated — and a component's dirty keys find every
+        cached dendrogram it absorbed.
         """
         matrix = self._matrix
-        roots: dict[str, None] = {}
+        roots: dict[str, list[str]] = {}
         for key in dirty:
             if key in matrix:
-                roots.setdefault(matrix.find(key))
+                roots.setdefault(matrix.find(key), []).append(key)
         evicted: dict[frozenset[str], list[frozenset[str]]] = {}
         for key in dirty:
             stale = self._component_of_key.get(key)
@@ -458,21 +485,29 @@ class ComponentModel:
                 if old_clusters is not None:
                     evicted[stale] = old_clusters
         merges_reused = merges_recomputed = kernel_components = 0
-        for root in roots:
+        for root, keys in roots.items():
             component = matrix.component_members(root)
-            outcome = self._repair_component(component, dirty, self._component_of_key)
+            kept = self._dendro_cache.get(component)
+            outcome = self._repair_component(
+                component, dirty, self._component_of_key, keys
+            )
             self._dendro_cache[component] = outcome.dendrogram
             if outcome.seed_cache is not None:
                 self._seed_cache[component] = outcome.seed_cache
-            clusters = outcome.dendrogram.cut(self._max_distance)
-            self._component_cache[component] = clusters
             merges_reused += outcome.merges_reused
             merges_recomputed += outcome.merges_recomputed
             if outcome.kernel == KERNEL_NUMPY:
                 kernel_components += 1
+            old_clusters = evicted.pop(component, None)
+            if outcome.dendrogram is kept and old_clusters is not None:
+                # the repair kept the component's dendrogram: its flat
+                # clusters and key mapping stand, no cut to redo
+                self._component_cache[component] = old_clusters
+                continue
+            clusters = outcome.dendrogram.cut(self._max_distance)
+            self._component_cache[component] = clusters
             for key in component:
                 self._component_of_key[key] = component
-            old_clusters = evicted.pop(component, None)
             if old_clusters == clusters:
                 continue  # identical result: the order needs no touch
             if old_clusters is not None:
@@ -492,7 +527,11 @@ class ComponentModel:
     # -- checkpointing -------------------------------------------------------
 
     def to_state(self) -> list[dict]:
-        """The dendrogram cache, compactly encoded, in a stable order."""
+        """The dendrogram cache, compactly encoded, in a stable order.
+
+        Each entry carries its horizon (the model's threshold distance;
+        none for average linkage's full dendrograms).
+        """
         return [
             dendrogram_to_state(self._dendro_cache[component])
             for component in sorted(self._dendro_cache, key=sorted)
@@ -502,7 +541,10 @@ class ComponentModel:
         """Install a :meth:`to_state` cache over the restored matrix.
 
         Flat clusters are re-derived by the next :meth:`refresh`, which
-        reuses these merges and redoes only the threshold cut.
+        reuses these merges and redoes only the threshold cut.  A
+        dendrogram bounded at another horizon than this model's would cut
+        or splice wrongly and is refused; one with a merge above its own
+        horizon fails to decode (:class:`ValueError`).
         """
         known = set(self._matrix.keys)
         for entry in entries:
@@ -511,6 +553,11 @@ class ComponentModel:
                 raise CheckpointError(
                     "checkpoint dendrogram covers keys absent from the "
                     "checkpointed groups"
+                )
+            if dendrogram.horizon != self._horizon:
+                raise CheckpointError(
+                    f"checkpoint dendrogram horizon {dendrogram.horizon} "
+                    f"differs from the session's {self._horizon}"
                 )
             self._dendro_cache[dendrogram.items] = dendrogram
         self._seen_structure = self._matrix.structure_version
@@ -742,38 +789,28 @@ class ShardEngine:
         closed = self._extractor.feed_many(events)
         new_pending = self._extractor.pending_keys
 
-        # Desired registrations for group indices >= base.  A registration
-        # identical on both sides (the formerly provisional group closed
-        # unchanged, a reopened group the reorder did not touch) is left
-        # alone, so the dirty set holds only keys of groups that changed.
+        # Desired registrations for group indices >= base.  The matrix
+        # nets retracted against registered key sets, so a group that
+        # closed or was re-extracted unchanged dirties nothing, whatever
+        # index it moved to.
         desired = [(base + offset, group.keys) for offset, group in enumerate(closed)]
         closed_through = base + len(closed)
         if new_pending:
             desired.append((closed_through, new_pending))
-        if removed:
-            # only entries up to the last retracted index can match
-            span = len(removed)
-            unchanged = set(removed).intersection(desired[:span])
-            if unchanged:
-                removed = [entry for entry in removed if entry not in unchanged]
-                desired = [
-                    entry for entry in desired[:span] if entry not in unchanged
-                ] + desired[span:]
-        closed_entries = desired
-        if desired and desired[-1][0] == closed_through:
-            closed_entries = desired[:-1]
-        folded = len(closed_entries) - REORDER_HORIZON
-        if not removed and folded >= STREAM_BATCH_MIN:
-            # Bulk run of final groups: count all but the retained ones
-            # straight into the matrix's aggregate baseline (vectorized
-            # when numpy is present).  Sound only without a retraction in
-            # the same step — netting a retraction against re-additions
-            # must stay one update_groups call, or a transient pair loss
-            # would bump structure_version and void caches the combined
-            # call keeps.
+        # The retracted groups held indices base .. base + span - 1.
+        span = len(removed)
+        folded = len(closed) - REORDER_HORIZON
+        if folded - span >= STREAM_BATCH_MIN and desired[:span] == removed:
+            # The retracted groups came back unchanged at their own
+            # indices (the usual case: the provisional group closed as it
+            # was), so nothing is retracted.  Count the bulk run of final
+            # groups after them, all but the retained ones, straight into
+            # the matrix's aggregate baseline (vectorized when numpy is
+            # present).  With a real retraction the step stays one netted
+            # update_groups call, so no transient pair loss bumps
+            # structure_version and voids caches.
             dirty = self._matrix.observe_groups_batch(
-                closed_entries[0][0],
-                [members for _, members in closed_entries[:folded]],
+                base + span, [members for _, members in desired[span:folded]]
             )
             dirty |= self._matrix.update_groups(added=desired[folded:])
         else:

@@ -74,7 +74,8 @@ from repro.fleet.resilience import (
 from repro.ttkv.store import TTKV
 
 #: Fleet manifest format; version 4 dropped the kernel that version 3
-#: recorded in its params (machine checkpoints are sharded version 5).
+#: recorded in its params.  Machine checkpoints carry their own sharded
+#: session version (:data:`repro.core.sharded.STATE_VERSION`).
 STATE_VERSION = 4
 SUPPORTED_STATE_VERSIONS = (4,)
 

@@ -41,7 +41,7 @@ from repro.core.dendro_repair import (
 from repro.core.hac_kernel import numpy_available
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
-from repro.exceptions import CorruptCheckpointError
+from repro.exceptions import CheckpointError, CorruptCheckpointError
 from repro.ttkv.store import DELETED, TTKV
 from repro.workload.machines import PROFILES
 from repro.workload.tracegen import generate_trace
@@ -412,10 +412,16 @@ def _hot_component_store(groups: int = 50, keys: int = 30) -> TTKV:
     return store
 
 
+#: A correlation threshold at which the hot component's dendrogram, bounded
+#: at the cut, holds merges (at the default 2.0 it holds none: no two of
+#: its keys share every write group).
+HOT_THRESHOLD = 1.0
+
+
 class TestEngineRepair:
     def test_splice_reuses_merges_on_hot_component(self):
         store = _hot_component_store()
-        pipeline = ShardedPipeline(store)
+        pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
         pipeline.update()
         store.record_write("app/k00", "new", 50 * 100.0 + 1500)
         store.record_write("app/k01", "new", 50 * 100.0 + 1500)
@@ -469,7 +475,7 @@ class TestEngineRepair:
 
     def test_checkpoint_round_trip_preserves_the_dendrogram_cache(self):
         store = _hot_component_store()
-        pipeline = ShardedPipeline(store)
+        pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
         pipeline.update()
         blob = json.dumps(pipeline.to_state())
         resumed = ShardedPipeline.from_state(store, json.loads(blob))
@@ -477,7 +483,62 @@ class TestEngineRepair:
         store.record_write("app/k01", "new", 50 * 100.0 + 1500)
         clusters = resumed.update()
         assert resumed.last_stats.merges_reused > 0
-        assert _key_sets(clusters) == _key_sets(cluster_settings(store))
+        assert _key_sets(clusters) == _key_sets(
+            cluster_settings(store, correlation_threshold=HOT_THRESHOLD)
+        )
+
+    def test_checkpoint_dendrograms_carry_the_threshold_horizon(self):
+        store = _hot_component_store()
+        pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
+        pipeline.update()
+        (shard,) = pipeline.to_state()["shards"].values()
+        assert shard["dendrograms"]
+        for entry in shard["dendrograms"]:
+            assert entry["horizon"] == 1.0 / HOT_THRESHOLD
+            assert all(distance <= entry["horizon"] for *_, distance in entry["merges"])
+
+    def test_v7_round_trip_continues_identically(self):
+        store = _hot_component_store()
+        pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
+        pipeline.update()
+        resumed = ShardedPipeline.from_state(
+            store, json.loads(json.dumps(pipeline.to_state()))
+        )
+        for step, keys in enumerate((("app/k00", "app/k01"), ("app/k05",), ("x",))):
+            for key in keys:
+                store.record_write(key, step, 50 * 100.0 + 1500 + step * 500)
+            expected = pipeline.update()
+            assert _key_sets(resumed.update()) == _key_sets(expected)
+            assert dataclasses.replace(
+                resumed.last_stats, shard_timings={}
+            ) == dataclasses.replace(pipeline.last_stats, shard_timings={})
+            assert resumed.to_state() == pipeline.to_state()
+
+    def test_checkpoint_rejects_a_merge_above_the_horizon(self):
+        store = _hot_component_store()
+        pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
+        pipeline.update()
+        state = json.loads(json.dumps(pipeline.to_state()))
+        (shard,) = state["shards"].values()
+        entry = next(e for e in shard["dendrograms"] if e["merges"])
+        entry["merges"][-1][2] = entry["horizon"] * 2
+        with pytest.raises(CorruptCheckpointError, match="above the horizon"):
+            ShardedPipeline.from_state(store, state)
+
+    @pytest.mark.parametrize("horizon", (None, 0.5, 2.0))
+    def test_checkpoint_rejects_another_horizon(self, horizon):
+        store = _hot_component_store()
+        pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
+        pipeline.update()
+        state = json.loads(json.dumps(pipeline.to_state()))
+        (shard,) = state["shards"].values()
+        for entry in shard["dendrograms"]:
+            if horizon is None:
+                del entry["horizon"]  # a full dendrogram
+            else:
+                entry["horizon"] = horizon
+        with pytest.raises(CheckpointError, match="horizon"):
+            ShardedPipeline.from_state(store, state)
 
     def test_checkpoint_without_dendrograms_rejected(self):
         # every current checkpoint carries the dendrogram cache; a shard

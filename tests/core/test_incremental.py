@@ -247,6 +247,32 @@ class TestIncrementalBehaviour:
         assert pipeline.last_stats.reorders_repaired == 3
         assert _key_sets(incremental) == _key_sets(cluster_settings(store))
 
+    def test_repair_that_shifts_group_indices_dirties_only_the_new_group(self):
+        store = TTKV()
+        store.record_write("a", 1, 100.0)
+        store.record_write("b", 1, 100.0)
+        store.record_write("c", 1, 900.0)
+        pipeline = ShardedPipeline(store)
+        pipeline.update()
+        (engine,) = pipeline._engines.values()
+        structure = engine._matrix.structure_version
+        # {early} opens a new group ahead of {a, b} and {c}: both move up
+        # one index with their key sets unchanged, so only the new
+        # singleton is dirty and only its component is reclustered
+        store.record_write("early", 1, 5.0)
+        incremental = pipeline.update()
+        stats = pipeline.last_stats
+        assert stats.reorders_repaired == 3
+        assert stats.dirty_keys == 1
+        assert stats.components_reclustered == 1
+        assert engine._matrix.structure_version == structure
+        assert engine._matrix.observed_groups() == {
+            0: frozenset({"early"}),
+            1: frozenset({"a", "b"}),
+            2: frozenset({"c"}),
+        }
+        assert _key_sets(incremental) == _key_sets(cluster_settings(store))
+
     def test_reorder_at_pending_group_boundary_repairs(self):
         # the insertion re-delivers the *entire* pending group: its first
         # event is what closed the previous group, a decision the

@@ -154,7 +154,46 @@ class MatrixModel(RuleBasedStateMachine):
             ),
             lambda: self.retained.__setitem__(index, members),
         )
-        assert dirty == set(old | members)
+        # a key set registered again unchanged cancels: nothing is dirty
+        assert dirty == (set() if members == old else set(old | members))
+
+    @precondition(lambda self: self.retained)
+    @rule(data=st.data(), extra=st.lists(_group, max_size=2))
+    def reindex_groups(self, data, extra):
+        # Retract retained groups and register some of their key sets
+        # again, plus ``extra``, at indices drawn from the freed ones and
+        # fresh ones — what a reorder repair does when an insert shifts
+        # group indices.
+        victims = data.draw(
+            st.lists(st.sampled_from(sorted(self.retained)), min_size=1, unique=True)
+        )
+        removed = [(index, self.retained[index]) for index in victims]
+        again = data.draw(
+            st.lists(st.booleans(), min_size=len(victims), max_size=len(victims))
+        )
+        registered = [
+            members for (_, members), keep in zip(removed, again) if keep
+        ] + extra
+        fresh = max(self.next_index, self.floor)
+        slots = data.draw(
+            st.permutations(victims + list(range(fresh, fresh + len(registered))))
+        )
+        added = list(zip(slots, registered))
+
+        def commit():
+            for index in victims:
+                del self.retained[index]
+            self.retained.update(added)
+            self.next_index = max([self.next_index, *(i + 1 for i, _ in added)])
+
+        dirty = self._mutate(
+            lambda: self.matrix.update_groups(added=added, removed=removed),
+            commit,
+        )
+        gone = Counter(members for _, members in removed)
+        new = Counter(registered)
+        changed = (gone - new) + (new - gone)
+        assert dirty == set().union(*changed)
 
     @rule(data=st.data())
     def compact(self, data):
@@ -341,6 +380,10 @@ class MatrixModel(RuleBasedStateMachine):
             assert self.matrix.correlation_of(key_b, key_a) == expected
         finite = {(a, b): value for a, b, value in self.matrix.finite_pairs()}
         assert finite.keys() == common.keys()
+
+    @invariant()
+    def retained_groups_agree(self):
+        assert self.matrix.observed_groups() == self.retained
 
     @invariant()
     def components_agree(self):

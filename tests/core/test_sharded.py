@@ -318,9 +318,9 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError):
             ShardedPipeline.from_state(TTKV(), {"version": 99})
 
-    def test_checkpoints_are_written_at_version_6(self):
+    def test_checkpoints_are_written_at_version_7(self):
         pipeline = ShardedPipeline(TTKV(), shard_prefixes=("a/",))
-        assert pipeline.to_state()["version"] == STATE_VERSION == 6
+        assert pipeline.to_state()["version"] == STATE_VERSION == 7
         pipeline.close()
 
     def _relabelled(self, version, **params):
@@ -333,6 +333,16 @@ class TestCheckpointValidation:
         state["version"] = version
         state["params"].update(params)
         return store, state
+
+    def test_v6_checkpoint_rejected(self):
+        # version 6 kept full dendrograms without a horizon; a bounded
+        # session cannot tell which of their merges it may splice
+        store, state = self._relabelled(6)
+        for shard in state["shards"].values():
+            for entry in shard["dendrograms"]:
+                entry.pop("horizon", None)
+        with pytest.raises(CheckpointError, match="unsupported .* version 6"):
+            ShardedPipeline.from_state(store, state)
 
     def test_v5_checkpoint_rejected(self):
         # version 5 kept no retained-group start positions, so a resumed
@@ -493,13 +503,14 @@ class TestTypedCheckpointErrors:
     At the current state version a truncated or corrupted checkpoint —
     missing fields, wrong-typed sections, mangled shard entries — must
     surface as :class:`~repro.exceptions.CorruptCheckpointError` with the
-    faulty field named.  A damaged checkpoint of the retired version 5 is
-    refused as unsupported, a :class:`~repro.exceptions.CheckpointError`,
-    before any of its fields is read.  Both subclass ``ValueError``, so
+    faulty field named.  A damaged checkpoint of the retired versions 5
+    and 6 is refused as unsupported, a
+    :class:`~repro.exceptions.CheckpointError`, before any of its fields
+    is read.  Both subclass ``ValueError``, so
     pre-existing callers keep working.
     """
 
-    VERSIONS = (5, STATE_VERSION)
+    VERSIONS = (5, 6, STATE_VERSION)
 
     @staticmethod
     def _raises(version, match):
