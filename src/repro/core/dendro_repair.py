@@ -539,11 +539,12 @@ def dendrogram_to_state(dendrogram: Dendrogram) -> dict:
     return state
 
 
-def dendrogram_from_state(state: dict) -> Dendrogram:
+def dendrogram_from_state(state: dict, *, horizon: float = math.inf) -> Dendrogram:
     """Rebuild a dendrogram from :func:`dendrogram_to_state` output.
 
-    Raises :class:`ValueError` when a merge lies above the recorded
-    horizon.
+    ``horizon`` is the bound of a state that records none of its own (a
+    checkpoint records one horizon for a whole cache).  Raises
+    :class:`ValueError` when a merge lies above the horizon.
     """
     items = [str(item) for item in state["items"]]
     nodes: list[frozenset[str]] = [frozenset((item,)) for item in items]
@@ -556,7 +557,7 @@ def dendrogram_from_state(state: dict) -> Dendrogram:
             Merge(left=left, right=right, distance=float(distance), members=members)
         )
         nodes.append(members)
-    horizon = state.get("horizon")
+    recorded = state.get("horizon")
     return Dendrogram(
-        frozenset(items), merges, math.inf if horizon is None else float(horizon)
+        frozenset(items), merges, horizon if recorded is None else float(recorded)
     )

@@ -115,15 +115,17 @@ from repro.ttkv.store import TTKV
 #: Shard states carry a ``"compacted"`` aggregate baseline, their
 #: ``"groups"`` list holds only the retractable tail, their ``"starts"``
 #: list the journal position of each retained closed group's first event,
-#: and their ``"dendrograms"`` list is required.  Version 7 bounds each
-#: dendrogram at the threshold distance and records that ``"horizon"``;
-#: version 6 added ``"starts"`` (the bounded-suffix reorder repair);
+#: and their ``"dendrograms"`` list is required.  Version 8 records the
+#: ``"horizon"`` once per shard and drops single-key dendrograms; version
+#: 7 bounded each dendrogram at the threshold distance and recorded that
+#: horizon in every entry; version 6 added ``"starts"`` (the
+#: bounded-suffix reorder repair);
 #: version 5 dropped the repair mode and kernel that version 4 recorded in
 #: its params.
-STATE_VERSION = 7
+STATE_VERSION = 8
 
 #: Checkpoint versions :meth:`ShardedPipeline.from_state` accepts.
-SUPPORTED_STATE_VERSIONS = (7,)
+SUPPORTED_STATE_VERSIONS = (8,)
 
 #: Minimum closed groups one update folds through the matrix's bulk-ingest
 #: path (:meth:`ShardEngine._register_stream`); the routine
@@ -526,29 +528,42 @@ class ComponentModel:
 
     # -- checkpointing -------------------------------------------------------
 
-    def to_state(self) -> list[dict]:
+    def to_state(self) -> dict:
         """The dendrogram cache, compactly encoded, in a stable order.
 
-        Each entry carries its horizon (the model's threshold distance;
-        none for average linkage's full dendrograms).
+        One ``"horizon"`` for the whole cache (the model's threshold
+        distance; ``None`` for average linkage's full dendrograms) and one
+        ``"dendrograms"`` entry per multi-key component.  A single key's
+        dendrogram holds no merge, so the next refresh rebuilds it for
+        nothing.
         """
-        return [
-            dendrogram_to_state(self._dendro_cache[component])
-            for component in sorted(self._dendro_cache, key=sorted)
-        ]
+        multi = [component for component in self._dendro_cache if len(component) > 1]
+        entries = []
+        for component in sorted(multi, key=sorted):
+            entry = dendrogram_to_state(self._dendro_cache[component])
+            entry.pop("horizon", None)
+            entries.append(entry)
+        horizon = None if math.isinf(self._horizon) else self._horizon
+        return {"horizon": horizon, "dendrograms": entries}
 
-    def restore(self, entries: list[dict]) -> None:
+    def restore(self, horizon: float | None, entries: list[dict]) -> None:
         """Install a :meth:`to_state` cache over the restored matrix.
 
         Flat clusters are re-derived by the next :meth:`refresh`, which
-        reuses these merges and redoes only the threshold cut.  A
-        dendrogram bounded at another horizon than this model's would cut
-        or splice wrongly and is refused; one with a merge above its own
+        reuses these merges and redoes only the threshold cut.  A cache
+        bounded at another horizon than this model's would cut or splice
+        wrongly and is refused; a dendrogram with a merge above the
         horizon fails to decode (:class:`ValueError`).
         """
+        recorded = math.inf if horizon is None else float(horizon)
+        if recorded != self._horizon:
+            raise CheckpointError(
+                f"checkpoint dendrogram horizon {recorded} "
+                f"differs from the session's {self._horizon}"
+            )
         known = set(self._matrix.keys)
         for entry in entries:
-            dendrogram = dendrogram_from_state(entry)
+            dendrogram = dendrogram_from_state(entry, horizon=recorded)
             if not dendrogram.items <= known:
                 raise CheckpointError(
                     "checkpoint dendrogram covers keys absent from the "
@@ -870,7 +885,7 @@ class ShardEngine:
                 for index, members in sorted(self._matrix.observed_groups().items())
             ],
             "starts": [first for first, _ in self._retained],
-            "dendrograms": self._model.to_state(),
+            **self._model.to_state(),
         }
 
     def restore(self, state: dict) -> None:
@@ -937,7 +952,7 @@ class ShardEngine:
         compacted = state["compacted"]
         if compacted is not None:
             self._matrix.install_compacted(compacted)
-        self._model.restore(state["dendrograms"])
+        self._model.restore(state["horizon"], state["dendrograms"])
 
     def _restore_retained(
         self,
@@ -1082,6 +1097,8 @@ class ShardedPipeline:
             for shard_id in self._journal_view.shard_ids
         }
         self._active_params = self._params()
+        # a fresh session has read nothing, even from an empty journal
+        self._journal_view.advanced = True
         self._order = SortedKeySets()
         self._cluster_set: ClusterSet | None = None
 
@@ -1106,18 +1123,18 @@ class ShardedPipeline:
         return self._engine(shard_id).matrix
 
     def needs_update(self) -> bool:
-        """O(shards): would :meth:`update` do any work right now?
+        """O(1): would :meth:`update` do any work right now?
 
         True when a parameter was retuned (the next update restarts the
-        session) or when any shard journal advanced past its engine's
-        cursor.  The fleet driver polls this to skip machines whose
-        streams are quiet.
+        session), when an event landed in a shard since the last update
+        read them, or when the session has not produced clusters yet (a
+        fresh or restored session starts stale).  The shard router sets
+        the flag on every routed append; dropped keys leave it alone.
+        The fleet driver reads this to skip machines whose streams are
+        quiet.
         """
-        if self._params() != self._active_params:
-            return True
-        return any(
-            not engine.ready or engine.needs_update()
-            for engine in self._engines.values()
+        return (
+            self._journal_view.advanced or self._params() != self._active_params
         )
 
     @property
@@ -1171,7 +1188,9 @@ class ShardedPipeline:
         are updated in order in the calling thread; per-shard wall times
         land in ``last_stats.shard_timings``.  Retuning any constructor parameter
         between calls restarts the session over the full stream, exactly
-        like the unsharded pipeline.
+        like the unsharded pipeline.  When an engine update raises, the
+        shards updated before it keep their results, :attr:`cluster_set`
+        reflects them, and :meth:`needs_update` stays true.
         """
         session_rebuilt = False
         if self._params() != self._active_params:
@@ -1182,6 +1201,10 @@ class ShardedPipeline:
         merges_reused = merges_recomputed = kernel_components = 0
         engine_rebuilt = False
         changed = False
+        # cleared before any shard is read, so an append racing this
+        # update marks the session stale again; a failed engine update
+        # sets it back (its shard is still unread)
+        self._journal_view.advanced = False
         pending: list[tuple[str, ShardEngine]] = []
         for shard_id, engine in self._engines.items():
             if engine.ready and not engine.needs_update():
@@ -1190,36 +1213,38 @@ class ShardedPipeline:
                 reused += count
             else:
                 pending.append((shard_id, engine))
-        results = [engine.update() for _, engine in pending]
         shard_timings: dict[str, float] = {}
-        for (shard_id, engine), result in zip(pending, results):
-            shard_timings[shard_id] = result.seconds
-            events += result.stats.events_consumed
-            groups += result.stats.groups_closed
-            dirty += result.stats.dirty_keys
-            total += result.stats.components_total
-            reclustered += result.stats.components_reclustered
-            reused += result.stats.components_reused
-            absorbed += result.stats.reorders_absorbed
-            repaired += result.stats.reorders_repaired
-            merges_reused += result.stats.merges_reused
-            merges_recomputed += result.stats.merges_recomputed
-            kernel_components += result.stats.kernel_components
-            engine_rebuilt = engine_rebuilt or result.stats.rebuilt
-            changed = changed or result.changed
-            removed, added = engine.last_order_delta
-            for key_set in removed:
-                self._order.remove(key_set)
-            for key_set in added:
-                self._order.add(key_set)
+        try:
+            for shard_id, engine in pending:
+                result = engine.update()
+                shard_timings[shard_id] = result.seconds
+                events += result.stats.events_consumed
+                groups += result.stats.groups_closed
+                dirty += result.stats.dirty_keys
+                total += result.stats.components_total
+                reclustered += result.stats.components_reclustered
+                reused += result.stats.components_reused
+                absorbed += result.stats.reorders_absorbed
+                repaired += result.stats.reorders_repaired
+                merges_reused += result.stats.merges_reused
+                merges_recomputed += result.stats.merges_recomputed
+                kernel_components += result.stats.kernel_components
+                engine_rebuilt = engine_rebuilt or result.stats.rebuilt
+                changed = changed or result.changed
+                # applied per engine: a later engine's failure must not
+                # lose the delta of one that already moved its cursor
+                removed, added = engine.last_order_delta
+                for key_set in removed:
+                    self._order.remove(key_set)
+                for key_set in added:
+                    self._order.add(key_set)
+        except BaseException:
+            self._journal_view.advanced = True
+            if changed:
+                self._assemble()
+            raise
         if changed or self._cluster_set is None:
-            # the merged order is maintained incrementally from the
-            # engines' deltas — no cross-shard re-sort per update
-            self._cluster_set = ClusterSet.from_key_sets(
-                self._order.as_key_sets(),
-                window=self.window,
-                correlation_threshold=self.correlation_threshold,
-            )
+            self._assemble()
         self.last_stats = UpdateStats(
             events_consumed=events,
             groups_closed=groups,
@@ -1244,6 +1269,15 @@ class ShardedPipeline:
             kernel_components=kernel_components,
         )
         return self._cluster_set
+
+    def _assemble(self) -> None:
+        # the merged order is maintained incrementally from the engines'
+        # deltas — no cross-shard re-sort per update
+        self._cluster_set = ClusterSet.from_key_sets(
+            self._order.as_key_sets(),
+            window=self.window,
+            correlation_threshold=self.correlation_threshold,
+        )
 
     # -- checkpointing -------------------------------------------------------
 

@@ -15,9 +15,12 @@ continues:
   one batch matrix (:func:`repro.fleet.merge.concatenated_batch_clusters`).
 - :class:`FleetPipeline` (:mod:`repro.fleet.pipeline`) owns one
   :class:`~repro.core.sharded.ShardedPipeline` per machine behind an
-  asyncio driver: poll ``needs_update()``, interleave machine updates
-  (on the event loop's default thread pool via ``run_in_executor``) with
-  logging I/O, apply per-machine backpressure, checkpoint per machine.
+  asyncio driver: read each machine's O(1) ``needs_update()`` flag,
+  interleave one executor call per round that updates the changed
+  machines serially (on the event loop's default thread pool via
+  ``run_in_executor``) with logging I/O, refresh status only for the
+  machines a round touched, apply per-machine backpressure, checkpoint
+  per machine.
 - :class:`FleetQueryServer` (:mod:`repro.fleet.api`) serves
   ``GET /clusters``, ``GET /machines``, ``GET /machines/<id>/status``
   and ``GET /health`` from asyncio streams while the driver keeps

@@ -5,16 +5,24 @@ One :class:`~repro.core.sharded.ShardedPipeline` per machine, one
 The synchronous :meth:`FleetPipeline.update` sweeps the fleet once in the
 calling thread; the asyncio :meth:`FleetPipeline.drive` runs the full
 ingest loop — feed each machine's next slice of events (the logging I/O),
-update every machine whose journal advanced (CPU work, pushed onto the
-event loop's default thread pool so queries stay responsive; each
-machine walks its own shards serially), merge the changed machines'
+update every machine whose stream moved (CPU work, run serially in one
+call on the event loop's default thread pool so queries stay responsive;
+each machine walks its own shards serially), merge the changed machines'
 evidence, and repeat.
+
+A round costs O(changed machines): which machines need an update is one
+flag read each (:meth:`~repro.core.sharded.ShardedPipeline.needs_update`
+is O(1)), and only the machines a round updated, attached or restarted
+get a fresh status snapshot — an untouched machine's status and
+supervision report stay as they were.
 
 Determinism: rounds are barriers.  Every machine's feed for a round is
 appended before any update starts, all updates finish before the merge,
 and the merge runs on the event-loop thread — so the per-round event
-counts, cluster models and progress lines are byte-identical however
-the machine updates interleave on the pool.
+counts, cluster models and progress lines are byte-identical.  Without
+supervision the updates of a round run in attach order; under
+supervision each machine's update is its own executor call, and the
+result does not depend on how they interleave on the pool.
 
 Backpressure: ``max_lag`` bounds how many journaled-but-unconsumed
 events a machine may accumulate.  The feed stage stops pulling from a
@@ -117,6 +125,12 @@ class FleetRound:
     faults_injected: int = 0
     #: Machine restarts the supervisor performed during this round.
     machines_restarted: int = 0
+
+
+def _update_in_order(pipelines: Sequence[ShardedPipeline]) -> None:
+    """Update each pipeline in turn (one executor call per round)."""
+    for pipeline in pipelines:
+        pipeline.update()
 
 
 class FleetPipeline:
@@ -234,8 +248,10 @@ class FleetPipeline:
     def machine_status(self, machine_id: str) -> dict | None:
         """The machine's last status snapshot (``None``: unknown machine).
 
-        Snapshots are (re)written on the driver thread after each round,
-        so readers on the event loop never race an in-flight update.
+        Snapshots are (re)written on the driver thread when a machine is
+        attached, restarted or updated — after the round that updated
+        it, so readers on the event loop never race an in-flight update.
+        An untouched machine keeps its last snapshot.
         """
         return self._status.get(machine_id)
 
@@ -314,23 +330,39 @@ class FleetPipeline:
 
     # -- updating ------------------------------------------------------------
 
-    def _sweep(self) -> tuple[int, int]:
-        """Update machines that need it; ingest their evidence.
+    def _pending(self) -> list[str]:
+        """Machines the next sweep or round updates, in attach order.
 
-        Returns ``(events_consumed, machines_updated)``.  A machine not
-        yet represented in the merge (fresh attach, or a resume — the
-        merge rebuilds from live snapshots rather than being
-        checkpointed) is swept even if its journal is quiet, so its
-        evidence always reaches the fleet model.
+        A machine is swept when its stream moved or was retuned
+        (:meth:`~repro.core.sharded.ShardedPipeline.needs_update`, O(1)),
+        when it is not yet represented in the merge (fresh attach, or a
+        resume — the merge rebuilds from live snapshots rather than being
+        checkpointed), or when a restart or a failed update phase left its
+        evidence out of sync with the merge (``_forced_sweeps``).
+        """
+        merged = set(self._merge.machine_ids)
+        return [
+            machine_id
+            for machine_id, pipeline in self._machines.items()
+            if pipeline.needs_update()
+            or machine_id not in merged
+            or machine_id in self._forced_sweeps
+        ]
+
+    def _sweep(self) -> tuple[int, int]:
+        """Update the pending machines; ingest their evidence.
+
+        Returns ``(events_consumed, machines_updated)``.  Only the swept
+        machines' status snapshots are refreshed.
         """
         consumed = updated = 0
-        merged = set(self._merge.machine_ids)
-        for machine_id, pipeline in self._machines.items():
-            if pipeline.needs_update() or machine_id not in merged:
-                pipeline.update()
-                consumed += pipeline.last_stats.events_consumed
-                updated += 1
-                self._merge.ingest(machine_id, *pipeline.pairwise_counts())
+        for machine_id in self._pending():
+            pipeline = self._machines[machine_id]
+            pipeline.update()
+            consumed += pipeline.last_stats.events_consumed
+            updated += 1
+            self._merge.ingest(machine_id, *pipeline.pairwise_counts())
+            self._forced_sweeps.discard(machine_id)
             self._refresh_status(machine_id)
         return consumed, updated
 
@@ -495,9 +527,12 @@ class FleetPipeline:
         sequence of ``(timestamp, key, value)`` modification events for
         that machine's store).  Per round: append each machine's next
         slice — throttled to ``max_lag`` un-consumed events per machine —
-        then update every machine whose journal advanced concurrently on
-        the event loop's executor, then merge on the loop thread.
-        ``on_round`` (and the returned list) observe every round.
+        then update every machine whose stream moved, serially in attach
+        order in one call on the event loop's executor, then merge on the
+        loop thread and refresh the status of the machines it updated.
+        ``on_round`` (and the returned list) observe every round.  An
+        update that raises propagates out of the drive; the machines of
+        that round are swept again by the next :meth:`update` or round.
 
         ``schedule`` models fleet churn: it is called on the loop thread
         at the start of each round with the upcoming round index and may
@@ -509,14 +544,14 @@ class FleetPipeline:
 
         ``resilience`` turns on supervised recovery (and, when its
         bundle carries a :class:`~repro.fleet.resilience.FaultInjector`,
-        deterministic fault injection): every machine update runs under
-        the configured per-attempt timeout with bounded deterministic
-        backoff; timeouts and circuit-breaker trips restart the machine
-        from its last good checkpoint generation; snapshot-loss faults
-        reboot machines at round start; and a crash-safe checkpoint
-        generation is written every ``checkpoint_every`` rounds when the
-        bundle has a state dir.  Without it the drive is byte-identical
-        to earlier releases.
+        deterministic fault injection): every machine update is its own
+        executor call and runs under the configured per-attempt timeout
+        with bounded deterministic backoff; timeouts and circuit-breaker
+        trips restart the machine from its last good checkpoint
+        generation; snapshot-loss faults reboot machines at round start;
+        and a crash-safe checkpoint generation is written every
+        ``checkpoint_every`` rounds when the bundle has a state dir.
+        Without it the drive is byte-identical to earlier releases.
         """
         unknown = set(feeds) - set(self._machines)
         if unknown:
@@ -608,37 +643,36 @@ class FleetPipeline:
                 refill(machine_id, buffer)
                 if not buffer and machine_id not in iterators:
                     buffers.pop(machine_id)
-            merged = set(self._merge.machine_ids)
-            pending = [
-                machine_id
-                for machine_id, pipeline in self._machines.items()
-                if pipeline.needs_update()
-                or machine_id not in merged
-                or machine_id in self._forced_sweeps
-            ]
-            # CPU stage: machine updates run concurrently on the loop's
-            # default thread pool; the barrier before the merge keeps
-            # rounds deterministic.  Restarts may swap a machine's
-            # pipeline object mid-round, so everything downstream
-            # re-reads self._machines by id.
-            if resilience is None:
-                await asyncio.gather(
-                    *(
-                        loop.run_in_executor(
-                            None, self._machines[machine_id].update
+            pending = self._pending()
+            # CPU stage, off the loop thread so queries stay responsive.
+            # Unsupervised, one executor call updates the pending machines
+            # serially in order (their threads would run one at a time
+            # under the GIL anyway); supervised, each machine gets its own
+            # call under its timeout and retries.  Restarts may swap a
+            # machine's pipeline object mid-round, so everything
+            # downstream re-reads self._machines by id.
+            try:
+                if resilience is None:
+                    if pending:
+                        await loop.run_in_executor(
+                            None,
+                            _update_in_order,
+                            [self._machines[machine_id] for machine_id in pending],
                         )
-                        for machine_id in pending
-                    )
-                )
-            else:
-                await asyncio.gather(
-                    *(
-                        self._supervised_update(
-                            machine_id, resilience, self._rounds + 1, loop
+                else:
+                    await asyncio.gather(
+                        *(
+                            self._supervised_update(
+                                machine_id, resilience, self._rounds + 1, loop
+                            )
+                            for machine_id in pending
                         )
-                        for machine_id in pending
                     )
-                )
+            except BaseException:
+                # machines updated before the failure have evidence the
+                # merge has not seen: the next sweep must ingest them
+                self._forced_sweeps.update(pending)
+                raise
             consumed = updated = 0
             for machine_id in pending:
                 pipeline = self._machines[machine_id]
@@ -648,9 +682,9 @@ class FleetPipeline:
                 self._merge.ingest(machine_id, *pipeline.pairwise_counts())
                 if resilience is not None:
                     resilience.supervisor.mark_synced(machine_id)
-            self._forced_sweeps.clear()
-            for machine_id in self._machines:
+                # only touched machines' status can have changed
                 self._refresh_status(machine_id)
+            self._forced_sweeps.clear()
             clusters = self._merge.clusters()
             self._rounds += 1
             faults = restarts = 0

@@ -79,6 +79,10 @@ class ShardedJournal:
         if catch_all:
             self._shards[CATCH_ALL] = EventJournal()
         self._route_cache: dict[str, str | None] = {}
+        #: Set whenever an event lands in a shard; the consumer clears it
+        #: once it has read every shard, so "did any shard advance?" is
+        #: one attribute read however many shards there are.
+        self.advanced = False
         self._attached = False
         for event in source.events():
             self._ingest(event)
@@ -116,6 +120,7 @@ class ShardedJournal:
         shard = self.route(event[1])
         if shard is not None:
             self._shards[shard].append_event(event)
+            self.advanced = True
 
     # -- access --------------------------------------------------------------
 

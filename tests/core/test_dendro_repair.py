@@ -493,25 +493,60 @@ class TestEngineRepair:
         pipeline.update()
         (shard,) = pipeline.to_state()["shards"].values()
         assert shard["dendrograms"]
+        # one horizon per shard, none repeated per entry
+        assert shard["horizon"] == 1.0 / HOT_THRESHOLD
         for entry in shard["dendrograms"]:
-            assert entry["horizon"] == 1.0 / HOT_THRESHOLD
-            assert all(distance <= entry["horizon"] for *_, distance in entry["merges"])
+            assert "horizon" not in entry
+            assert all(distance <= shard["horizon"] for *_, distance in entry["merges"])
 
-    def test_v7_round_trip_continues_identically(self):
+    def test_checkpoint_keeps_no_single_key_dendrograms(self):
         store = _hot_component_store()
+        store.record_write("lone", 1, 50 * 100.0 + 9000)
+        pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
+        pipeline.update()
+        model = pipeline._engines[""]._model
+        assert frozenset({"lone"}) in model._dendro_cache
+        (shard,) = pipeline.to_state()["shards"].values()
+        assert shard["dendrograms"]
+        assert all(len(entry["items"]) > 1 for entry in shard["dendrograms"])
+
+    def test_average_linkage_checkpoint_records_no_horizon(self):
+        store = _hot_component_store()
+        pipeline = ShardedPipeline(store, linkage="average")
+        pipeline.update()
+        state = json.loads(json.dumps(pipeline.to_state()))
+        (shard,) = state["shards"].values()
+        assert shard["horizon"] is None
+        resumed = ShardedPipeline.from_state(store, state)
+        assert _key_sets(resumed.update()) == _key_sets(pipeline.cluster_set)
+
+    def test_v8_round_trip_continues_identically(self):
+        # the uninterrupted session caches single-key dendrograms the
+        # checkpoint leaves out: the resumed one rebuilds them, with the
+        # same clusters, merge counts and next checkpoint.  Its first
+        # update walks every component (the flat clusters are not
+        # checkpointed), so only that update counts the clean "lone"
+        # component as reclustered rather than reused.
+        store = _hot_component_store()
+        store.record_write("lone", 1, 50 * 100.0 + 9000)
         pipeline = ShardedPipeline(store, correlation_threshold=HOT_THRESHOLD)
         pipeline.update()
         resumed = ShardedPipeline.from_state(
             store, json.loads(json.dumps(pipeline.to_state()))
         )
-        for step, keys in enumerate((("app/k00", "app/k01"), ("app/k05",), ("x",))):
+        steps = (("app/k00", "app/k01"), ("app/k05",), ("x",), ("lone", "x"))
+        for step, keys in enumerate(steps):
             for key in keys:
-                store.record_write(key, step, 50 * 100.0 + 1500 + step * 500)
+                store.record_write(key, step, 50 * 100.0 + 10000 + step * 500)
             expected = pipeline.update()
             assert _key_sets(resumed.update()) == _key_sets(expected)
+            walked = {}
+            if step == 0:
+                total = pipeline.last_stats.components_total
+                walked = {"components_reclustered": total, "components_reused": 0}
             assert dataclasses.replace(
                 resumed.last_stats, shard_timings={}
-            ) == dataclasses.replace(pipeline.last_stats, shard_timings={})
+            ) == dataclasses.replace(pipeline.last_stats, shard_timings={}, **walked)
             assert resumed.to_state() == pipeline.to_state()
 
     def test_checkpoint_rejects_a_merge_above_the_horizon(self):
@@ -521,7 +556,7 @@ class TestEngineRepair:
         state = json.loads(json.dumps(pipeline.to_state()))
         (shard,) = state["shards"].values()
         entry = next(e for e in shard["dendrograms"] if e["merges"])
-        entry["merges"][-1][2] = entry["horizon"] * 2
+        entry["merges"][-1][2] = shard["horizon"] * 2
         with pytest.raises(CorruptCheckpointError, match="above the horizon"):
             ShardedPipeline.from_state(store, state)
 
@@ -532,11 +567,7 @@ class TestEngineRepair:
         pipeline.update()
         state = json.loads(json.dumps(pipeline.to_state()))
         (shard,) = state["shards"].values()
-        for entry in shard["dendrograms"]:
-            if horizon is None:
-                del entry["horizon"]  # a full dendrogram
-            else:
-                entry["horizon"] = horizon
+        shard["horizon"] = horizon  # None: full dendrograms
         with pytest.raises(CheckpointError, match="horizon"):
             ShardedPipeline.from_state(store, state)
 
@@ -559,7 +590,7 @@ class TestEngineRepair:
         state = pipeline.to_state()
         for shard_state in state["shards"].values():
             shard_state["dendrograms"] = [
-                {"items": ["not", "recorded"], "merges": [[0, 1, 1.0]]}
+                {"items": ["not", "recorded"], "merges": [[0, 1, 0.0]]}
             ]
         with pytest.raises(ValueError, match="dendrogram covers keys absent"):
             ShardedPipeline.from_state(store, state)

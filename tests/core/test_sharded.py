@@ -318,9 +318,9 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError):
             ShardedPipeline.from_state(TTKV(), {"version": 99})
 
-    def test_checkpoints_are_written_at_version_7(self):
+    def test_checkpoints_are_written_at_version_8(self):
         pipeline = ShardedPipeline(TTKV(), shard_prefixes=("a/",))
-        assert pipeline.to_state()["version"] == STATE_VERSION == 7
+        assert pipeline.to_state()["version"] == STATE_VERSION == 8
         pipeline.close()
 
     def _relabelled(self, version, **params):
@@ -333,6 +333,17 @@ class TestCheckpointValidation:
         state["version"] = version
         state["params"].update(params)
         return store, state
+
+    def test_v7_checkpoint_rejected(self):
+        # version 7 repeated the horizon in every dendrogram entry and kept
+        # no shard-level one
+        store, state = self._relabelled(7)
+        for shard in state["shards"].values():
+            horizon = shard.pop("horizon")
+            for entry in shard["dendrograms"]:
+                entry["horizon"] = horizon
+        with pytest.raises(CheckpointError, match="unsupported .* version 7"):
+            ShardedPipeline.from_state(store, state)
 
     def test_v6_checkpoint_rejected(self):
         # version 6 kept full dendrograms without a horizon; a bounded
@@ -503,14 +514,14 @@ class TestTypedCheckpointErrors:
     At the current state version a truncated or corrupted checkpoint —
     missing fields, wrong-typed sections, mangled shard entries — must
     surface as :class:`~repro.exceptions.CorruptCheckpointError` with the
-    faulty field named.  A damaged checkpoint of the retired versions 5
-    and 6 is refused as unsupported, a
+    faulty field named.  A damaged checkpoint of the retired versions 5,
+    6 and 7 is refused as unsupported, a
     :class:`~repro.exceptions.CheckpointError`, before any of its fields
     is read.  Both subclass ``ValueError``, so
     pre-existing callers keep working.
     """
 
-    VERSIONS = (5, 6, STATE_VERSION)
+    VERSIONS = (5, 6, 7, STATE_VERSION)
 
     @staticmethod
     def _raises(version, match):
