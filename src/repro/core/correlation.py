@@ -800,6 +800,37 @@ class CorrelationMatrix:
         self._check(key)
         return set(self._adj[key])
 
+    def nearest_distance(
+        self, keys: Iterable[str], component: frozenset[str] | set[str]
+    ) -> float:
+        """Smallest distance from any of ``keys`` to a neighbour in ``component``.
+
+        ``inf`` when none of ``keys`` has a neighbour there.  One walk of
+        each key's adjacency row, keeping the largest correlation and
+        inverting it once: correctly rounded division is monotone, so
+        ``1 / max`` is bit-equal to the minimum of the per-pair
+        :meth:`distance_of`, and the sum below has the operand order of
+        :meth:`correlation_of` and of the distance block's rows.  Raises
+        :class:`KeyError` for a key the matrix does not hold.
+
+        >>> matrix = CorrelationMatrix({"a": {0, 1}, "b": {0}, "c": {1, 2}})
+        >>> matrix.nearest_distance(["a"], {"a", "b", "c"})
+        0.6666666666666666
+        >>> matrix.nearest_distance(["a"], {"a", "c"}), matrix.nearest_distance(["b"], {"b", "c"})
+        (1.0, inf)
+        """
+        counts = self._counts
+        adj = self._adj
+        best = 0.0
+        for key in keys:
+            own = counts[key]
+            for other, shared in adj[key].items():
+                if other in component:
+                    value = shared / own + shared / counts[other]
+                    if value > best:
+                        best = value
+        return 1.0 / best if best else INFINITE_DISTANCE
+
     def _check(self, key: str) -> None:
         if key not in self._counts:
             raise KeyError(key)
@@ -828,7 +859,10 @@ class CorrelationMatrix:
         the whole cache was already dropped (see :meth:`update_groups`)
         and the block rebuilds from scratch.  Entries under stale keys
         (sub-components that since merged) are absorbed into the merged
-        block and released.
+        block and released.  Dirty rows accumulate across updates until
+        the block is read, and the streaming repair reads it only for a
+        kernel agglomeration (a splice that keeps its cached merges never
+        does), so a run of such updates costs one refresh, not one each.
 
         The returned array is owned by the cache: consumers must copy
         before mutating.
@@ -1009,6 +1043,11 @@ class CorrelationMatrixView:
     def neighbors(self, key: str) -> set[str]:
         return self._matrix.neighbors(key)
 
+    def nearest_distance(
+        self, keys: Iterable[str], component: frozenset[str] | set[str]
+    ) -> float:
+        return self._matrix.nearest_distance(keys, component)
+
     def finite_pairs(self) -> Iterable[tuple[str, str, float]]:
         return self._matrix.finite_pairs()
 
@@ -1039,6 +1078,10 @@ class CorrelationMatrixView:
     @property
     def compact_floor(self) -> int:
         return self._matrix.compact_floor
+
+    @property
+    def structure_version(self) -> int:
+        return self._matrix.structure_version
 
     def compacted_state(self) -> dict | None:
         return self._matrix.compacted_state()

@@ -103,7 +103,7 @@ from typing import Iterable, Sequence
 
 from repro.core import hac_kernel
 from repro.core.clustering import LINKAGE_AVERAGE, agglomerate_clusters
-from repro.core.correlation import CorrelationMatrix, correlation_to_distance
+from repro.core.correlation import CorrelationMatrix
 from repro.core.dendrogram import Dendrogram, Merge, partition_after
 from repro.core.hac_kernel import (
     KERNEL_NUMPY,
@@ -204,45 +204,6 @@ def rebuild_outcome(
     )
 
 
-def first_affected_distance(
-    matrix: CorrelationMatrix,
-    component: frozenset[str],
-    dirty: Iterable[str],
-) -> float:
-    """Smallest current distance of any in-component pair touching ``dirty``.
-
-    This is the floor below which no cluster containing a dirty key can
-    form in a fresh agglomeration: every linkage criterion in use rates a
-    merge involving a dirty singleton at one of these pair distances or
-    higher.  Returns ``inf`` when no dirty key has in-component neighbours.
-    """
-    floor = math.inf
-    for key in dirty:
-        if key not in component or key not in matrix:
-            continue
-        for other in matrix.neighbors(key):
-            if other in component:
-                d = correlation_to_distance(matrix.correlation_of(key, other))
-                if d < floor:
-                    floor = d
-    return floor
-
-
-def block_affected_distance(block, affected: Iterable[str]) -> float:
-    """:func:`first_affected_distance` read off a component's distance block.
-
-    The block's rows of the affected keys hold their current distances to
-    every other component key (``inf`` for non-neighbours and on the
-    diagonal), filled with the same IEEE-754 operations as
-    :meth:`~repro.core.correlation.CorrelationMatrix.correlation_of` and
-    :func:`~repro.core.correlation.correlation_to_distance`, so the
-    minimum over those rows is bit-equal to the Python sweep — one
-    vectorized reduction over O(affected) rows instead of a walk of every
-    affected key's neighbours.
-    """
-    return float(block.square[block.positions(affected)].min())
-
-
 def surviving_clusters(
     component: frozenset[str], merges: Sequence[Merge]
 ) -> list[frozenset[str]]:
@@ -299,8 +260,12 @@ def splice_dendrogram(
         cached distance block — optionally reusing rows from
         ``seed_caches`` (previous repairs' :class:`SeedDistanceCache`
         records) so only rows of seeds touching dirty keys are
-        re-reduced — and the merge loop runs on the array kernel.
-        Results are bit-identical across kernels.
+        re-reduced — and the merge loop runs on the array kernel.  The
+        block is requested, and its dirty rows refreshed, only when the
+        splice re-agglomerates more than one seed; the splice line itself
+        always comes from one walk of the affected keys' adjacency
+        (:meth:`~repro.core.correlation.CorrelationMatrix.
+        nearest_distance`).  Results are bit-identical across kernels.
     max_distance:
         The horizon to agglomerate up to.  Every cached dendrogram must
         carry the same horizon.
@@ -364,12 +329,7 @@ def splice_dendrogram(
         return rebuild()
 
     resolved = resolve_kernel(kernel, linkage, len(component))
-    block = None
-    if resolved == KERNEL_NUMPY:
-        block = matrix.component_distance_block(component)
-        splice_at = block_affected_distance(block, affected)
-    else:
-        splice_at = first_affected_distance(matrix, component, affected)
+    splice_at = matrix.nearest_distance(affected, component)
     # A cache's merges are sorted and every merge containing a dirty key
     # comes no earlier than the one that absorbed that key, so the first
     # merge touching ``affected`` per cache is the only one that can
@@ -410,7 +370,10 @@ def splice_dendrogram(
 
     seeds = surviving_clusters(component, prefix)
     seed_cache: SeedDistanceCache | None = None
-    if block is not None and len(seeds) > 1:
+    if resolved == KERNEL_NUMPY and len(seeds) > 1:
+        # Only a real re-agglomeration needs the block: the rows dirtied
+        # since it was last read are refreshed here, once.
+        block = matrix.component_distance_block(component)
         seed_square = _seed_matrix_with_reuse(
             block, seeds, affected, seed_caches, linkage
         )

@@ -108,7 +108,7 @@ from repro.core.windowing import (
 )
 from repro.exceptions import CheckpointError, CorruptCheckpointError
 from repro.ttkv.journal import EventJournal, JournalCursor, decode_event, encode_event
-from repro.ttkv.sharding import ShardedJournal
+from repro.ttkv.sharding import ShardedJournal, shard_ids_for
 from repro.ttkv.store import TTKV
 
 #: Checkpoint format version written by :meth:`ShardedPipeline.to_state`.
@@ -121,7 +121,8 @@ from repro.ttkv.store import TTKV
 #: horizon in every entry; version 6 added ``"starts"`` (the
 #: bounded-suffix reorder repair);
 #: version 5 dropped the repair mode and kernel that version 4 recorded in
-#: its params.
+#: its params.  A shard that must re-read its journal on resume is just
+#: ``{"cursor": None}``.
 STATE_VERSION = 8
 
 #: Checkpoint versions :meth:`ShardedPipeline.from_state` accepts.
@@ -859,10 +860,18 @@ class ShardEngine:
         via :func:`~repro.core.dendro_repair.dendrogram_to_state`), so a
         resumed session keeps splicing instead of paying one wholesale
         re-agglomeration per component to rebuild it.
+
+        An engine that has read nothing, or whose consumed prefix an
+        unread out-of-order event has since reached into, is written as
+        ``{"cursor": None}``: the fingerprint and retained groups would
+        describe the reordered journal, not the stream the engine folded.
+        :meth:`restore` then re-reads the whole journal, which is exact.
         """
-        position = 0 if self._cursor is None else self._cursor.position
+        if self._cursor is None or self._journal.reorder_depth(self._cursor):
+            return {"cursor": None}
+        position = self._cursor.position
         return {
-            "cursor": None if self._cursor is None else self._cursor.to_state(),
+            "cursor": self._cursor.to_state(),
             "closed_count": self._closed_count,
             "head": (
                 encode_event(self._journal.event_at(0)) if position else None
@@ -1072,12 +1081,17 @@ class ShardedPipeline:
             self.catch_all,
         )
 
-    def _reset(self) -> None:
-        # every parameter is validated before any journal is attached
+    def _check_params(self) -> tuple[str, ...]:
+        """Validate the current parameters; return the shard ids they give."""
         check_clustering_params(
             self.window, self.correlation_threshold, self.linkage
         )
         StreamingGroupExtractor(self.window, grouping=self.grouping)
+        return shard_ids_for(self.shard_prefixes, self.catch_all)
+
+    def _reset(self) -> None:
+        # every parameter is validated before any journal is attached
+        self._check_params()
         if self._journal_view is not None:
             self._journal_view.detach()
         self._journal_view = ShardedJournal(
@@ -1288,7 +1302,23 @@ class ShardedPipeline:
         restarted process re-opens its persisted store, restores the
         session, and the next :meth:`update` consumes only events the
         checkpointed session had not read.
+
+        Between a retune and the next :meth:`update` the shards still hold
+        state built under the old parameters, and that update would
+        restart the session.  The checkpoint records that restart: the new
+        parameters (validated as :meth:`update` would) over shards that
+        have read nothing.
         """
+        if self._params() != self._active_params:
+            shards = {
+                shard_id: {"cursor": None}
+                for shard_id in self._check_params()
+            }
+        else:
+            shards = {
+                shard_id: engine.to_state()
+                for shard_id, engine in self._engines.items()
+            }
         return {
             "version": STATE_VERSION,
             "params": {
@@ -1300,10 +1330,7 @@ class ShardedPipeline:
                 "shard_prefixes": list(self.shard_prefixes),
                 "catch_all": self.catch_all,
             },
-            "shards": {
-                shard_id: engine.to_state()
-                for shard_id, engine in self._engines.items()
-            },
+            "shards": shards,
         }
 
     @classmethod

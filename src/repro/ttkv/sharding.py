@@ -35,6 +35,24 @@ from repro.ttkv.journal import Event, EventJournal
 CATCH_ALL = ""
 
 
+def shard_ids_for(prefixes: Iterable[str], catch_all: bool) -> tuple[str, ...]:
+    """The shard ids a :class:`ShardedJournal` over these settings has.
+
+    The sorted distinct prefixes, then :data:`CATCH_ALL` when enabled.
+    Raises :class:`ValueError` for the empty prefix, or for no prefix
+    and no catch-all.
+    """
+    ordered = sorted(set(prefixes))
+    if CATCH_ALL in ordered:
+        raise ValueError(
+            "the empty prefix is reserved for the catch-all shard; "
+            "pass catch_all=True instead"
+        )
+    if not ordered and not catch_all:
+        raise ValueError("a sharded journal needs prefixes or a catch-all")
+    return (*ordered, CATCH_ALL) if catch_all else tuple(ordered)
+
+
 class ShardedJournal:
     """Partition an :class:`EventJournal` by key prefix, with live routing.
 
@@ -63,21 +81,15 @@ class ShardedJournal:
         catch_all: bool = True,
         key_filter: str | None = None,
     ) -> None:
-        ordered = sorted(set(prefixes), key=lambda p: (-len(p), p))
-        if CATCH_ALL in ordered:
-            raise ValueError(
-                "the empty prefix is reserved for the catch-all shard; "
-                "pass catch_all=True instead"
-            )
-        if not ordered and not catch_all:
-            raise ValueError("a sharded journal needs prefixes or a catch-all")
+        prefixes = set(prefixes)
+        shard_ids = shard_ids_for(prefixes, catch_all)
         self._source = source
         self._key_filter = key_filter
-        self._route_order: tuple[str, ...] = tuple(ordered)
+        self._route_order: tuple[str, ...] = tuple(
+            sorted(prefixes, key=lambda p: (-len(p), p))
+        )
         self._catch_all = catch_all
-        self._shards = {prefix: EventJournal() for prefix in sorted(ordered)}
-        if catch_all:
-            self._shards[CATCH_ALL] = EventJournal()
+        self._shards = {shard_id: EventJournal() for shard_id in shard_ids}
         self._route_cache: dict[str, str | None] = {}
         #: Set whenever an event lands in a shard; the consumer clears it
         #: once it has read every shard, so "did any shard advance?" is

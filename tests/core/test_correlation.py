@@ -12,6 +12,7 @@ from repro.core.correlation import (
     correlation_to_distance,
     distance_to_correlation,
 )
+from repro.core.hac_kernel import numpy_available
 
 
 class TestCorrelationMetric:
@@ -342,6 +343,54 @@ class TestReadOnlyView:
             view.retract_group(0, {"a"})
         with pytest.raises(TypeError):
             view.update_groups(added=[(1, {"x"})])
+
+    def test_exposes_every_public_read_of_the_matrix(self):
+        # a read added to the matrix but not forwarded would make the view
+        # an incomplete stand-in for the engines that take either
+        matrix = CorrelationMatrix({"a": {0, 1}, "b": {0, 1}, "c": {1, 2}})
+        matrix.compact(1)
+        view = CorrelationMatrixView(matrix)
+        refused = {
+            name
+            for name, value in vars(CorrelationMatrixView).items()
+            if value is CorrelationMatrixView._read_only
+        }
+        reads = sorted(
+            name
+            for name in dir(CorrelationMatrix)
+            if not name.startswith("_") and name not in refused
+        )
+        assert "nearest_distance" in reads and "structure_version" in reads
+        arguments = {
+            "group_count": ("a",),
+            "correlation_of": ("a", "c"),
+            "distance_of": ("a", "c"),
+            "neighbors": ("a",),
+            "nearest_distance": (["a"], {"a", "b", "c"}),
+            "component_distance_block": (frozenset("abc"),),
+            "find": ("a",),
+            "component_members": ("c",),
+        }
+        for name in reads:
+            ours = getattr(view, name)
+            theirs = getattr(matrix, name)
+            if not callable(theirs):
+                assert ours == theirs, name
+                continue
+            if name == "component_distance_block" and not numpy_available():
+                continue
+            args = arguments.get(name, ())
+            result = ours(*args)
+            expected = theirs(*args)
+            if name == "component_distance_block":
+                assert result is expected
+            elif name == "finite_pairs":
+                assert set(result) == set(expected)
+            elif name == "connected_components":
+                assert sorted(map(sorted, result)) == sorted(map(sorted, expected))
+            else:
+                assert result == expected, name
+        assert len(view) == len(matrix) and ("a" in view) == ("a" in matrix)
 
 
 def _delta_fixture() -> CorrelationMatrix:

@@ -24,21 +24,22 @@ import math
 import random
 import struct
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.hac_kernel as hk
 from repro.core.correlation import CorrelationMatrix
 from repro.core.clustering import agglomerate_clusters
 from repro.core.dendro_repair import (
-    block_affected_distance,
     build_dendrogram,
     dendrogram_from_state,
     dendrogram_to_state,
-    first_affected_distance,
     splice_dendrogram,
     surviving_clusters,
 )
-from repro.core.hac_kernel import numpy_available
+from repro.core.hac_kernel import KERNEL_AUTO, numpy_available
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
 from repro.exceptions import CheckpointError, CorruptCheckpointError
@@ -205,7 +206,7 @@ class TestSpliceDendrogram:
         matrix.observe_group(100, ["k039"])
         # the documented splice line: the smallest new affected-pair
         # distance, lowered to the first cached merge touching the dirty key
-        line = first_affected_distance(matrix, component, {"k039"})
+        line = matrix.nearest_distance({"k039"}, component)
         line = min(
             [line]
             + [m.distance for m in cached.merges if "k039" in m.members]
@@ -347,7 +348,7 @@ class TestSeededAgglomeration:
 
 
 
-# -- splice floor from the distance block ------------------------------------
+# -- the splice line ----------------------------------------------------------
 
 _FLOOR_KEYS = [f"k{i}" for i in range(10)]
 
@@ -356,7 +357,19 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="the distance block needs numpy")
+def _pair_minimum(matrix, component, keys) -> float:
+    """Brute force: the smallest ``distance_of`` from ``keys`` into ``component``."""
+    return min(
+        (
+            matrix.distance_of(key, other)
+            for key in keys
+            for other in component
+            if other != key
+        ),
+        default=math.inf,
+    )
+
+
 @given(
     st.dictionaries(
         st.sampled_from(_FLOOR_KEYS),
@@ -371,31 +384,143 @@ def _bits(value: float) -> bytes:
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=80, deadline=None)
-def test_block_floor_is_bit_equal_to_first_affected_distance(
+def test_nearest_distance_is_bit_equal_to_the_pair_minimum_and_the_block_rows(
     key_groups, growth, rng
 ):
-    """Growth-only updates refresh the cached block incrementally; after
-    every one, the block-row minimum is the Python floor, bit for bit."""
+    """After every growth-only update the splice line is the per-pair
+    minimum, bit for bit — and, where numpy imports, the minimum over the
+    affected rows of the incrementally refreshed distance block, so the
+    line and the kernel's seed matrix come from the same numbers."""
+    with_block = numpy_available()
     matrix = CorrelationMatrix({key: set(groups) for key, groups in key_groups.items()})
-    for component in matrix.connected_components():
-        if len(component) > 1:
-            matrix.component_distance_block(component)  # prime the cache
+    if with_block:
+        for component in matrix.connected_components():
+            if len(component) > 1:
+                matrix.component_distance_block(component)  # prime the cache
     for offset, keys in enumerate(growth):
         dirty = matrix.update_groups(added=[(100 + offset, keys)])
         for component in matrix.connected_components():
             component = frozenset(component)
             if len(component) < 2:
                 continue
-            block = matrix.component_distance_block(component)
+            block = matrix.component_distance_block(component) if with_block else None
             touched = dirty & component
             candidates = [touched] if touched else []
             size = rng.randint(1, min(3, len(component)))
             candidates.append(set(rng.sample(sorted(component), size)))
             for affected in candidates:
-                expected = first_affected_distance(matrix, component, affected)
-                assert _bits(block_affected_distance(block, affected)) == _bits(
-                    expected
+                line = matrix.nearest_distance(affected, component)
+                assert _bits(line) == _bits(_pair_minimum(matrix, component, affected))
+                if block is not None:
+                    rows = block.square[block.positions(affected)]
+                    assert _bits(line) == _bits(float(rows.min()))
+
+
+def test_nearest_distance_ignores_neighbours_outside_the_component():
+    matrix = CorrelationMatrix({"a": {0, 1}, "b": {0}, "c": {1, 2}})
+    assert matrix.nearest_distance(["a"], {"a", "c"}) == 1.0
+    assert matrix.nearest_distance(["b"], {"b", "c"}) == math.inf
+    assert matrix.nearest_distance([], {"a", "b"}) == math.inf
+    with pytest.raises(KeyError):
+        matrix.nearest_distance(["missing"], {"a"})
+
+
+def _counting_block_fills():
+    return mock.patch.object(
+        CorrelationMatrix,
+        "_fill_block_rows",
+        autospec=True,
+        side_effect=CorrelationMatrix._fill_block_rows,
+    )
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the distance block needs numpy")
+class TestLazyDistanceBlock:
+    """The block is read, and its dirty rows refreshed, only for a kernel
+    agglomeration: splices that keep their cached merges never touch it."""
+
+    HORIZON = 0.75
+
+    def test_short_circuits_defer_the_refresh_to_one_agglomeration(self):
+        matrix = _chain_matrix(120)
+        matrix.observe_group(499, ["k119"])  # k119's merges now lie above τ
+        component = frozenset(matrix.keys)
+        cached = build_dendrogram(
+            matrix, component, "complete", max_distance=self.HORIZON
+        )
+        matrix.component_distance_block(component)  # a cached block to go stale
+        with (
+            mock.patch.object(hk, "KERNEL_SIZE_THRESHOLD", 0),
+            _counting_block_fills() as fills,
+        ):
+            for index in range(500, 505):
+                # k119's distances only grow: the line stays above τ
+                matrix.observe_group(index, ["k119"])
+                outcome = splice_dendrogram(
+                    matrix, component, {"k119"}, [cached], "complete",
+                    kernel=KERNEL_AUTO, max_distance=self.HORIZON,
                 )
+                assert outcome.dendrogram is cached
+                assert outcome.merges_recomputed == 0
+                assert outcome.kernel == "numpy"
+            assert fills.call_count == 0
+            # k000 and k001 now always move together: a merge at 0.5, far
+            # below the cached ones, so the splice re-agglomerates
+            matrix.observe_group(600, ["k000", "k001"])
+            outcome = splice_dendrogram(
+                matrix, component, {"k000", "k001"}, [cached], "complete",
+                kernel=KERNEL_AUTO, max_distance=self.HORIZON,
+            )
+            assert outcome.merges_recomputed > 0
+            assert fills.call_count == 1  # every deferred row, refreshed once
+        reference = build_dendrogram(
+            matrix, component, "complete", max_distance=self.HORIZON
+        )
+        assert outcome.dendrogram.merges == reference.merges
+        fresh = CorrelationMatrix()
+        for index, members in matrix.observed_groups().items():
+            fresh.observe_group(index, members)
+        block = matrix.component_distance_block(component)
+        assert (block.square == fresh.component_distance_block(component).square).all()
+
+    @pytest.mark.parametrize("linkage", ("complete", "single"))
+    def test_pipeline_equals_batch_at_every_prefix(self, linkage):
+        # At the default threshold only keys that always move together
+        # merge.  Lone writes of unmerged hot keys short-circuit; a fresh
+        # pair joining the component merges (a kernel agglomeration), and
+        # a lone write to one of the pair splits it again.
+        events = list(_hot_component_store().journal.events())
+        rng = random.Random(7)
+        pairs: list[tuple[str, str]] = []
+        for step in range(60):
+            t = 10_000.0 + step * 500
+            hot = f"app/k{rng.randrange(30):02d}"
+            choice = rng.random()
+            if choice < 0.25:
+                pair = (f"app/n{step}a", f"app/n{step}b")
+                pairs.append(pair)
+                keys = [hot, *pair]
+            elif choice < 0.4 and pairs:
+                keys = [rng.choice(rng.choice(pairs))]
+            else:
+                keys = [hot]
+            events.extend((t, key, step) for key in keys)
+        live = TTKV()
+        pipeline = ShardedPipeline(live, linkage=linkage)
+        updates = 0
+        with (
+            mock.patch.object(hk, "KERNEL_SIZE_THRESHOLD", 0),
+            _counting_block_fills() as fills,
+        ):
+            for start in range(0, len(events), 5):
+                live.record_events(events[start : start + 5])
+                updates += 1
+                assert _key_sets(pipeline.update()) == _key_sets(
+                    cluster_settings(live, linkage=linkage)
+                )
+        pipeline.close()
+        # the block was refreshed for some updates, not for every one
+        assert 0 < fills.call_count < updates
 
 
 # -- engine integration ------------------------------------------------------

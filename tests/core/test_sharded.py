@@ -431,6 +431,54 @@ class TestCheckpointValidation:
         assert _key_sets(resumed.update()) == _key_sets(before)
         assert resumed.last_stats.events_consumed == 0
 
+    def test_checkpoint_over_an_unread_reorder_keeps_the_late_event(self):
+        store = TTKV()
+        store.record_write("x", 1, 100.0)
+        store.record_write("y", 1, 100.0)
+        store.record_write("z", 1, 900.0)
+        pipeline = ShardedPipeline(store)
+        pipeline.update()
+        store.record_write("w", 1, 100.0)  # lands behind the consumed z
+        state = json.loads(json.dumps(pipeline.to_state()))
+        resumed = ShardedPipeline.from_state(store, state)
+        expected = [("w", "x", "y"), ("z",)]
+        assert _key_sets(pipeline.update()) == expected
+        assert _key_sets(resumed.update()) == expected
+        assert _key_sets(cluster_settings(store)) == expected
+        # the resumed session checkpoints and resumes like any other
+        again = ShardedPipeline.from_state(
+            store, json.loads(json.dumps(resumed.to_state()))
+        )
+        assert _key_sets(again.update()) == expected
+        assert again.last_stats.events_consumed == 0
+
+    def test_checkpoint_between_a_retune_and_the_next_update(self):
+        store = TTKV()
+        for t, key in ((0.0, "a/x"), (40.0, "a/y"), (200.0, "b/z"), (230.0, "a/x")):
+            store.record_write(key, t, t)
+        pipeline = ShardedPipeline(store, shard_prefixes=("a/",))
+        pipeline.update()
+        pipeline.window = 30.0
+        pipeline.shard_prefixes = ("a/", "b/")
+        state = json.loads(json.dumps(pipeline.to_state()))
+        resumed = ShardedPipeline.from_state(store, state)
+        assert state["params"]["window"] == 30.0
+        assert set(state["shards"]) == {"a/", "b/", CATCH_ALL}
+        expected = _key_sets(pipeline.update())
+        assert pipeline.last_stats.rebuilt
+        assert _key_sets(resumed.update()) == expected
+        assert expected == _key_sets(cluster_settings(store, window=30.0))
+
+    def test_checkpoint_of_an_invalid_retune_is_refused(self):
+        store = TTKV()
+        pipeline = ShardedPipeline(store)
+        pipeline.update()
+        pipeline.window = -1.0
+        with pytest.raises(ValueError):
+            pipeline.to_state()
+        with pytest.raises(ValueError):
+            pipeline.update()
+
 
 class TestRestoreMismatchErrors:
     """A checkpoint that does not match the store is a CheckpointError.

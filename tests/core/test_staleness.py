@@ -3,7 +3,10 @@
 The shard router sets a flag whenever an event lands in a shard and
 ``update()`` clears it before reading the shards.  The oracle is the
 O(shards) definition the flag replaced: a retune, or any engine that has
-not produced clusters yet or whose journal moved past its cursor.
+not produced clusters yet or whose journal moved past its cursor.  The
+same op sequences checkpoint in every state — over an unread reorder and
+between a retune and the next update too — and end on the batch
+clusters.
 """
 
 import json
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
+from repro.ttkv.sharding import CATCH_ALL
 from repro.ttkv.store import TTKV
 
 #: (shard_prefixes, catch_all, key_filter): "c/" keys land in the catch-all
@@ -34,6 +38,27 @@ def polled_needs_update(pipeline: ShardedPipeline) -> bool:
         not engine.ready or engine.needs_update()
         for engine in pipeline._engines.values()
     )
+
+
+def batch_key_sets(store, pipeline) -> list[list[str]]:
+    """Every shard's batch clusters (filter, then extract), sorted."""
+    sets = []
+    for shard_id in pipeline.shard_ids:
+        source, key_filter = store, shard_id
+        if shard_id == CATCH_ALL:
+            source = TTKV.from_events(
+                e
+                for e in store.write_events()
+                if not any(e[1].startswith(p) for p in pipeline.shard_prefixes)
+            )
+            key_filter = pipeline.key_filter
+        sets.extend(
+            sorted(cluster.keys)
+            for cluster in cluster_settings(
+                source, key_filter=key_filter, window=pipeline.window
+            )
+        )
+    return sorted(sets)
 
 
 def _session(store, config):
@@ -83,10 +108,6 @@ def test_flag_equals_polling_every_shard(config, ops):
     last: dict[str, float] = {}
     clock = 0.0
     late = 0
-    # an unread out-of-order insert or retune, which a checkpoint does not
-    # capture: the resumed session would lose the reorder, or refuse the
-    # checkpoint (its shards were built under the old parameters)
-    uncheckpointable = False
     assert pipeline.needs_update() is True  # a fresh session starts stale
     for op in ops:
         kind = op[0]
@@ -104,7 +125,6 @@ def test_flag_equals_polling_every_shard(config, ops):
             timestamp = max(0.0, clock - back)
             store.record_write(key, "late", timestamp)
             last[key] = timestamp
-            uncheckpointable = True
         elif kind == "duplicate":
             key = op[1]
             if key in last:
@@ -112,15 +132,10 @@ def test_flag_equals_polling_every_shard(config, ops):
                 store.record_write(key, last[key], last[key])
         elif kind == "update":
             pipeline.update()
-            uncheckpointable = False
             assert pipeline.needs_update() is False
         elif kind == "retune":
             pipeline.window = 30.0 if pipeline.window != 30.0 else 60.0
-            uncheckpointable = True
         elif kind == "restore":
-            if uncheckpointable:
-                pipeline.update()
-                uncheckpointable = False
             state = json.loads(json.dumps(pipeline.to_state()))
             pipeline.close()
             if op[1]:  # the journal runs ahead of the checkpoint
@@ -133,8 +148,9 @@ def test_flag_equals_polling_every_shard(config, ops):
             if _update_with_failure(pipeline, op[1]):
                 assert pipeline.needs_update() is True
         assert pipeline.needs_update() == polled_needs_update(pipeline)
-    pipeline.update()
+    clusters = pipeline.update()
     assert pipeline.needs_update() is False is polled_needs_update(pipeline)
+    assert sorted(sorted(c.keys) for c in clusters) == batch_key_sets(store, pipeline)
     pipeline.close()
 
 
