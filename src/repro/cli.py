@@ -345,7 +345,7 @@ def _timing_suffix(stats) -> str:
     label = slowest if slowest else "<catch-all>"
     kernel = (
         f"numpy kernel on {stats.kernel_components} component(s)"
-        if stats.kernel_used
+        if stats.kernel_components
         else "python kernel"
     )
     return (

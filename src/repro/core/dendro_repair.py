@@ -140,9 +140,10 @@ class SpliceOutcome:
     prefix); ``merges_recomputed`` counts merges the seeded agglomeration
     re-derived.  ``spliced`` says whether the splice path actually ran —
     ``False`` means a wholesale rebuild (no usable cache, or a safety
-    fallback).  ``kernel`` records the implementation the component was
-    dispatched to (``"numpy"`` or ``"python"``), which derived the
-    recomputed merges if there were any; ``seed_cache``
+    fallback).  ``kernel`` names the implementation that agglomerated
+    (``"numpy"`` or ``"python"``), and is ``None`` when nothing was
+    agglomerated: a one-key component, or a splice that kept its cached
+    merges as they were; ``seed_cache``
     carries the refreshed inter-seed distances for the next repair of
     this component (numpy splice path only).
     """
@@ -151,7 +152,7 @@ class SpliceOutcome:
     merges_reused: int
     merges_recomputed: int
     spliced: bool
-    kernel: str = KERNEL_PYTHON
+    kernel: str | None = None
     seed_cache: SeedDistanceCache | None = field(default=None, compare=False)
 
 
@@ -195,12 +196,14 @@ def rebuild_outcome(
     dendrogram = build_dendrogram(
         matrix, component, linkage, kernel=kernel, max_distance=max_distance
     )
+    size = len(dendrogram.items)
+    resolved = resolve_kernel(kernel, linkage, size)
     return SpliceOutcome(
         dendrogram=dendrogram,
         merges_reused=0,
         merges_recomputed=len(dendrogram.merges),
         spliced=False,
-        kernel=resolve_kernel(kernel, linkage, len(frozenset(component))),
+        kernel=resolved if size > 1 else None,
     )
 
 
@@ -365,7 +368,6 @@ def splice_dendrogram(
             merges_reused=len(prefix),
             merges_recomputed=0,
             spliced=True,
-            kernel=resolved,
         )
 
     seeds = surviving_clusters(component, prefix)
@@ -399,7 +401,7 @@ def splice_dendrogram(
         merges_reused=len(prefix),
         merges_recomputed=len(new_merges),
         spliced=True,
-        kernel=resolved,
+        kernel=resolved if len(seeds) > 1 else None,
         seed_cache=seed_cache,
     )
 

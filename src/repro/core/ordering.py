@@ -63,30 +63,3 @@ class SortedKeySets:
     def __iter__(self) -> Iterator[frozenset[str]]:
         return iter(self._sets)
 
-
-def diff_sorted(
-    old: list[frozenset[str]], new: list[frozenset[str]]
-) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
-    """(removed, added) between two lists already in display order.
-
-    A single merge-walk over the two lists — used where a wholesale
-    replacement (a full component rescan) must be turned into the delta
-    the incremental order maintenance consumes.
-    """
-    removed: list[frozenset[str]] = []
-    added: list[frozenset[str]] = []
-    i = j = 0
-    while i < len(old) and j < len(new):
-        ka, kb = order_key(old[i]), order_key(new[j])
-        if ka == kb:
-            i += 1
-            j += 1
-        elif ka < kb:
-            removed.append(old[i])
-            i += 1
-        else:
-            added.append(new[j])
-            j += 1
-    removed.extend(old[i:])
-    added.extend(new[j:])
-    return removed, added

@@ -99,7 +99,7 @@ from repro.core.dendro_repair import (
 )
 from repro.core.dendrogram import Dendrogram
 from repro.core.hac_kernel import KERNEL_AUTO, KERNEL_NUMPY
-from repro.core.ordering import SortedKeySets, diff_sorted
+from repro.core.ordering import SortedKeySets
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
 from repro.core.windowing import (
     GROUPING_SLIDING,
@@ -170,12 +170,12 @@ class UpdateStats:
     by agglomeration.
 
     ``kernel_components`` counts the reclustered components whose merges
-    were derived by the numpy HAC kernel (:mod:`repro.core.hac_kernel`)
-    rather than the pure-Python reference path; ``kernel_used`` flags
-    whether the kernel ran at all in this update.  Both reflect the
+    the numpy HAC kernel (:mod:`repro.core.hac_kernel`) agglomerated,
+    rather than the pure-Python reference path.  It reflects the
     per-component dispatch by size, linkage and whether numpy imports —
     small components stay on the Python path even when numpy is
-    installed.
+    installed — and counts no component whose repair agglomerated
+    nothing (its cached merges stood).
     """
 
     events_consumed: int
@@ -193,7 +193,6 @@ class UpdateStats:
     slowest_shard: str | None = None
     merges_reused: int = 0
     merges_recomputed: int = 0
-    kernel_used: bool = False
     kernel_components: int = 0
 
 
@@ -216,7 +215,9 @@ class ComponentModel:
     one over its shard matrix, and the fleet merge
     (:class:`~repro.fleet.merge.FleetCorrelationMerge`) holds one over the
     summed fleet matrix.  The owner mutates the matrix, then passes the
-    keys the mutation dirtied to :meth:`refresh`.
+    keys the mutation dirtied to :meth:`refresh`, whose one walk visits
+    only the components holding them — every component on the first
+    refresh, the one that also picks up a restored checkpoint.
 
     Each reclustered component's dendrogram is cached alongside its flat
     clusters.  For complete and single linkage it is bounded at the
@@ -298,23 +299,104 @@ class ComponentModel:
     ) -> tuple[int, int, int, int]:
         """Recluster what the matrix mutations since the last call dirtied.
 
-        The first refresh, and any refresh after a lossy mutation bumped
-        ``structure_version``, walks every component; any other touches
-        only the components holding dirty keys.  ``shown`` holds clusters
-        an owner displayed from a model it discarded (a rebuild): they
-        enter the removal delta.  Returns ``(components_reclustered,
-        merges_reused, merges_recomputed, kernel_components)``.
+        One walk over the dirty region: keys are grouped by union-find
+        root, each dirty key's cached component is evicted, and each
+        visited component is repaired (:meth:`_repair_component`) with
+        the cluster order kept up to date one component at a time.  Sound
+        because between structural losses components only ever grow: when
+        components merge, the group (or pair delta) that bridged them puts
+        a key of each old component into ``dirty``, so evicting every
+        dirty key's cached component removes exactly the entries the merge
+        invalidated — and a component's dirty keys find every cached
+        dendrogram it absorbed.
+
+        Two cases differ from that growth walk:
+
+        - Before the first refresh (a fresh model, or one :meth:`restore`
+          filled) every matrix key is visited, not just the dirty ones.  A
+          component whose cached dendrogram covers it exactly and holds no
+          dirty key (a restored checkpoint's) is only cut, and its merges
+          count as reused; other restored dendrograms are found by key and
+          spliced like live ones.
+        - After a lossy mutation bumped ``structure_version``, components
+          may have shrunk, which voids the splice argument: each dirty
+          key's old dendrogram and seed cache are dropped, so its
+          component re-agglomerates.  A component holding no dirty key is
+          left alone: lost edges and bridges only touch dirty keys.
+
+        ``shown`` holds clusters an owner displayed from a model it
+        discarded (a rebuild): they enter the removal delta.  Returns
+        ``(components_reclustered, merges_reused, merges_recomputed,
+        kernel_components)``.
         """
         self._last_removed = list(shown)
         self._last_added = []
         if not dirty and self._ready:
             return 0, 0, 0, 0
-        structure_kept = self._matrix.structure_version == self._seen_structure
-        if not self._ready or not structure_kept:
-            result = self._rescan_components(dirty, splice_ok=structure_kept)
-        else:
-            result = self._recluster_dirty(dirty)
-        self._seen_structure = self._matrix.structure_version
+        matrix = self._matrix
+        lossy = matrix.structure_version != self._seen_structure
+        roots: dict[str, list[str]] = {}
+        for key in dirty if self._ready else matrix.keys:
+            if key in matrix:
+                roots.setdefault(matrix.find(key), []).append(key)
+        evicted: dict[frozenset[str], list[frozenset[str]]] = {}
+        for key in dirty:
+            stale = self._component_of_key.get(key)
+            if stale is None:
+                continue
+            old_clusters = self._component_cache.pop(stale, None)
+            if old_clusters is not None:
+                evicted[stale] = old_clusters
+            if lossy:
+                self._dendro_cache.pop(stale, None)
+                self._seed_cache.pop(stale, None)
+                if key not in matrix:
+                    del self._component_of_key[key]
+        merges_reused = merges_recomputed = kernel_components = 0
+        for root, keys in roots.items():
+            component = matrix.component_members(root)
+            kept = self._dendro_cache.get(component)
+            if kept is not None and component.isdisjoint(dirty):
+                # restored merges of an untouched component: only the
+                # flat cut is missing
+                dendrogram = kept
+                merges_reused += len(kept.merges)
+            else:
+                outcome = self._repair_component(component, dirty, keys)
+                dendrogram = outcome.dendrogram
+                self._dendro_cache[component] = dendrogram
+                if outcome.seed_cache is not None:
+                    self._seed_cache[component] = outcome.seed_cache
+                merges_reused += outcome.merges_reused
+                merges_recomputed += outcome.merges_recomputed
+                if outcome.kernel == KERNEL_NUMPY:
+                    kernel_components += 1
+            old_clusters = evicted.pop(component, None)
+            if dendrogram is kept and old_clusters is not None:
+                # the repair kept the component's dendrogram: its flat
+                # clusters and key mapping stand, no cut to redo
+                self._component_cache[component] = old_clusters
+                continue
+            clusters = dendrogram.cut(self._max_distance)
+            self._component_cache[component] = clusters
+            for key in component:
+                self._component_of_key[key] = component
+            if old_clusters == clusters:
+                continue  # identical result: the order needs no touch
+            if old_clusters is not None:
+                for key_set in old_clusters:
+                    self._order.remove(key_set)
+                self._last_removed.extend(old_clusters)
+            for key_set in clusters:
+                self._order.add(key_set)
+            self._last_added.extend(clusters)
+        # components that merged into a larger one, or (after a loss) split
+        # or left the matrix
+        for old_clusters in evicted.values():
+            for key_set in old_clusters:
+                self._order.remove(key_set)
+            self._last_removed.extend(old_clusters)
+        self._seen_structure = matrix.structure_version
         self._ready = True
 
         if self._last_removed and self._last_added:
@@ -330,23 +412,21 @@ class ComponentModel:
                 self._last_added = list((added_counts - common).elements())
         if self._last_removed or self._last_added:
             self._cluster_set = None
-        return result
+        return len(roots), merges_reused, merges_recomputed, kernel_components
 
     def _repair_component(
         self,
         component: frozenset[str],
         dirty: set[str],
-        dendro_of_key: dict[str, frozenset[str]],
         probe: Iterable[str],
     ) -> SpliceOutcome:
         """Dendrogram for one dirty component — spliced when possible.
 
-        ``dendro_of_key`` maps keys to the cached-dendrogram component
-        they belonged to before the update; ``probe`` holds at least one
-        key of every such component inside ``component``.  Those
-        dendrograms are popped
-        from the cache (they are consumed either way; the caller re-caches
-        the repaired result) and spliced; with none cached the component
+        ``probe`` holds at least one key of every cached-dendrogram
+        component inside ``component`` (found through the key mapping as
+        it stood before the update).  Those dendrograms are popped from
+        the cache (they are consumed either way; the caller re-caches the
+        repaired result) and spliced; with none cached the component
         re-agglomerates from singletons.  Each agglomeration runs on the
         kernel :func:`~repro.core.hac_kernel.resolve_kernel` picks for the
         component.
@@ -355,7 +435,7 @@ class ComponentModel:
         seed_caches: list[SeedDistanceCache] = []
         seen: set[frozenset[str]] = set()
         for key in probe:
-            old = dendro_of_key.get(key)
+            old = self._component_of_key.get(key)
             if old is None or old in seen:
                 continue
             seen.add(old)
@@ -388,145 +468,6 @@ class ComponentModel:
             max_distance=self._horizon,
         )
 
-    def _rescan_components(
-        self, dirty: set[str], *, splice_ok: bool
-    ) -> tuple[int, int, int, int]:
-        """Full component walk — first update and after structural loss.
-
-        Components untouched by ``dirty`` keep their cached flat clusters
-        and dendrograms; a restored checkpoint arrives here with flat
-        clusters missing but dendrograms intact, in which case the merges
-        are reused and only the cheap threshold cut is redone.  Dirty
-        components are repaired through the dendrogram cache exactly like
-        the incremental path — unless ``splice_ok`` is false (a lossy
-        update: components may have *shrunk*, voiding the splice
-        argument), in which case they re-agglomerate wholesale.
-        """
-        if splice_ok:
-            dendro_of_key = {
-                key: old for old in self._dendro_cache for key in old
-            }
-        else:
-            # After a lossy update components may have shrunk, which
-            # voids the splice argument for anything the update touched.
-            # Cached entries are not dropped wholesale, though: a
-            # component disjoint from ``dirty`` was untouched by the
-            # retraction (lost edges only come from retracted groups,
-            # whose keys are all dirty), so the loop below carries its
-            # dendrogram across exactly like its flat clusters.
-            dendro_of_key = {}
-        cache: dict[frozenset[str], list[frozenset[str]]] = {}
-        dendros: dict[frozenset[str], Dendrogram] = {}
-        seed_caches: dict[frozenset[str], SeedDistanceCache] = {}
-        of_key: dict[str, frozenset[str]] = {}
-        reclustered = 0
-        merges_reused = merges_recomputed = kernel_components = 0
-        previous = self._order.as_key_sets()
-        for component in self._matrix.connected_components():
-            frozen = frozenset(component)
-            clusters = self._component_cache.get(frozen)
-            dendrogram = self._dendro_cache.get(frozen)
-            if clusters is None or not component.isdisjoint(dirty):
-                if dendrogram is not None and component.isdisjoint(dirty):
-                    # restored checkpoint: the merges survived, only the
-                    # flat cut is missing
-                    merges_reused += len(dendrogram.merges)
-                else:
-                    outcome = self._repair_component(
-                        frozen, dirty, dendro_of_key, frozen
-                    )
-                    dendrogram = outcome.dendrogram
-                    merges_reused += outcome.merges_reused
-                    merges_recomputed += outcome.merges_recomputed
-                    if outcome.kernel == KERNEL_NUMPY:
-                        kernel_components += 1
-                    if outcome.seed_cache is not None:
-                        seed_caches[frozen] = outcome.seed_cache
-                clusters = dendrogram.cut(self._max_distance)
-                reclustered += 1
-            else:
-                kept = self._seed_cache.get(frozen)
-                if kept is not None:
-                    seed_caches[frozen] = kept
-            cache[frozen] = clusters
-            if dendrogram is not None:
-                dendros[frozen] = dendrogram
-            for key in frozen:
-                of_key[key] = frozen
-        self._component_cache = cache
-        self._dendro_cache = dendros
-        self._seed_cache = seed_caches
-        self._component_of_key = of_key
-        self._order = SortedKeySets(
-            key_set for clusters in cache.values() for key_set in clusters
-        )
-        removed, added = diff_sorted(previous, self._order.as_key_sets())
-        self._last_removed.extend(removed)
-        self._last_added.extend(added)
-        return reclustered, merges_reused, merges_recomputed, kernel_components
-
-    def _recluster_dirty(self, dirty: set[str]) -> tuple[int, int, int, int]:
-        """O(dirty region): recluster only components touching dirty keys.
-
-        Sound because between structural losses components only ever grow:
-        when components merge, the group (or pair delta) that bridged them
-        puts a key of each old component into ``dirty``, so evicting every
-        dirty key's previously cached component removes exactly the entries
-        the merge invalidated — and a component's dirty keys find every
-        cached dendrogram it absorbed.
-        """
-        matrix = self._matrix
-        roots: dict[str, list[str]] = {}
-        for key in dirty:
-            if key in matrix:
-                roots.setdefault(matrix.find(key), []).append(key)
-        evicted: dict[frozenset[str], list[frozenset[str]]] = {}
-        for key in dirty:
-            stale = self._component_of_key.get(key)
-            if stale is not None:
-                old_clusters = self._component_cache.pop(stale, None)
-                if old_clusters is not None:
-                    evicted[stale] = old_clusters
-        merges_reused = merges_recomputed = kernel_components = 0
-        for root, keys in roots.items():
-            component = matrix.component_members(root)
-            kept = self._dendro_cache.get(component)
-            outcome = self._repair_component(
-                component, dirty, self._component_of_key, keys
-            )
-            self._dendro_cache[component] = outcome.dendrogram
-            if outcome.seed_cache is not None:
-                self._seed_cache[component] = outcome.seed_cache
-            merges_reused += outcome.merges_reused
-            merges_recomputed += outcome.merges_recomputed
-            if outcome.kernel == KERNEL_NUMPY:
-                kernel_components += 1
-            old_clusters = evicted.pop(component, None)
-            if outcome.dendrogram is kept and old_clusters is not None:
-                # the repair kept the component's dendrogram: its flat
-                # clusters and key mapping stand, no cut to redo
-                self._component_cache[component] = old_clusters
-                continue
-            clusters = outcome.dendrogram.cut(self._max_distance)
-            self._component_cache[component] = clusters
-            for key in component:
-                self._component_of_key[key] = component
-            if old_clusters == clusters:
-                continue  # identical result: the order needs no touch
-            if old_clusters is not None:
-                for key_set in old_clusters:
-                    self._order.remove(key_set)
-                self._last_removed.extend(old_clusters)
-            for key_set in clusters:
-                self._order.add(key_set)
-            self._last_added.extend(clusters)
-        # components that vanished by merging into a larger one
-        for old_clusters in evicted.values():
-            for key_set in old_clusters:
-                self._order.remove(key_set)
-            self._last_removed.extend(old_clusters)
-        return len(roots), merges_reused, merges_recomputed, kernel_components
-
     # -- checkpointing -------------------------------------------------------
 
     def to_state(self) -> dict:
@@ -551,7 +492,9 @@ class ComponentModel:
         """Install a :meth:`to_state` cache over the restored matrix.
 
         Flat clusters are re-derived by the next :meth:`refresh`, which
-        reuses these merges and redoes only the threshold cut.  A cache
+        finds these dendrograms by key, as it does live ones: it reuses the
+        merges of a component the update left alone and redoes only the
+        threshold cut, and splices the others.  A cache
         bounded at another horizon than this model's would cut or splice
         wrongly and is refused; a dendrogram with a merge above the
         horizon fails to decode (:class:`ValueError`).
@@ -576,6 +519,8 @@ class ComponentModel:
                     f"differs from the session's {self._horizon}"
                 )
             self._dendro_cache[dendrogram.items] = dendrogram
+            for key in dendrogram.items:
+                self._component_of_key[key] = dendrogram.items
         self._seen_structure = self._matrix.structure_version
 
 
@@ -760,7 +705,6 @@ class ShardEngine:
                 shards_updated=1,
                 merges_reused=merges_reused,
                 merges_recomputed=merges_recomputed,
-                kernel_used=kernel_components > 0,
                 kernel_components=kernel_components,
             ),
             changed=bool(removed or added),
@@ -1279,7 +1223,6 @@ class ShardedPipeline:
             ),
             merges_reused=merges_reused,
             merges_recomputed=merges_recomputed,
-            kernel_used=kernel_components > 0,
             kernel_components=kernel_components,
         )
         return self._cluster_set

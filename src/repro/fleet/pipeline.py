@@ -349,26 +349,41 @@ class FleetPipeline:
             or machine_id in self._forced_sweeps
         ]
 
-    def _sweep(self) -> tuple[int, int]:
-        """Update the pending machines; ingest their evidence.
+    def _ingest(
+        self, pending: Sequence[str], resilience: FleetResilience | None = None
+    ) -> tuple[int, int]:
+        """Merge the updated machines' evidence; refresh their status.
 
-        Returns ``(events_consumed, machines_updated)``.  Only the swept
-        machines' status snapshots are refreshed.
+        The merge step both :meth:`update` and :meth:`drive` end a round
+        with.  Returns ``(events_consumed, machines_updated)``.
         """
-        consumed = updated = 0
-        for machine_id in self._pending():
+        consumed = 0
+        for machine_id in pending:
             pipeline = self._machines[machine_id]
-            pipeline.update()
-            consumed += pipeline.last_stats.events_consumed
-            updated += 1
+            stats = pipeline.last_stats
+            consumed += 0 if stats is None else stats.events_consumed
             self._merge.ingest(machine_id, *pipeline.pairwise_counts())
-            self._forced_sweeps.discard(machine_id)
+            if resilience is not None:
+                resilience.supervisor.mark_synced(machine_id)
+            # only touched machines' status can have changed
             self._refresh_status(machine_id)
-        return consumed, updated
+        self._forced_sweeps.clear()
+        return consumed, len(pending)
 
     def update(self) -> ClusterSet:
-        """One synchronous fleet sweep; returns the merged cluster model."""
-        consumed, updated = self._sweep()
+        """One synchronous fleet sweep; returns the merged cluster model.
+
+        Updates the pending machines in attach order, then merges their
+        evidence.  An update that raises propagates; the machines of the
+        sweep are swept again by the next :meth:`update` or round.
+        """
+        pending = self._pending()
+        try:
+            _update_in_order([self._machines[machine_id] for machine_id in pending])
+        except BaseException:
+            self._forced_sweeps.update(pending)
+            raise
+        consumed, updated = self._ingest(pending)
         clusters = self._merge.clusters()
         self.last_stats = FleetUpdateStats(
             events_consumed=consumed,
@@ -673,18 +688,7 @@ class FleetPipeline:
                 # merge has not seen: the next sweep must ingest them
                 self._forced_sweeps.update(pending)
                 raise
-            consumed = updated = 0
-            for machine_id in pending:
-                pipeline = self._machines[machine_id]
-                stats = pipeline.last_stats
-                consumed += 0 if stats is None else stats.events_consumed
-                updated += 1
-                self._merge.ingest(machine_id, *pipeline.pairwise_counts())
-                if resilience is not None:
-                    resilience.supervisor.mark_synced(machine_id)
-                # only touched machines' status can have changed
-                self._refresh_status(machine_id)
-            self._forced_sweeps.clear()
+            consumed, updated = self._ingest(pending, resilience)
             clusters = self._merge.clusters()
             self._rounds += 1
             faults = restarts = 0

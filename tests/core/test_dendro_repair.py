@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.hac_kernel as hk
 from repro.core.correlation import CorrelationMatrix
-from repro.core.clustering import agglomerate_clusters
+from repro.core.clustering import agglomerate_clusters, flat_clusters
 from repro.core.dendro_repair import (
     build_dendrogram,
     dendrogram_from_state,
@@ -41,7 +41,7 @@ from repro.core.dendro_repair import (
 )
 from repro.core.hac_kernel import KERNEL_AUTO, numpy_available
 from repro.core.pipeline import cluster_settings
-from repro.core.sharded import ShardedPipeline
+from repro.core.sharded import ComponentModel, ShardedPipeline
 from repro.exceptions import CheckpointError, CorruptCheckpointError
 from repro.ttkv.store import DELETED, TTKV
 from repro.workload.machines import PROFILES
@@ -462,7 +462,7 @@ class TestLazyDistanceBlock:
                 )
                 assert outcome.dendrogram is cached
                 assert outcome.merges_recomputed == 0
-                assert outcome.kernel == "numpy"
+                assert outcome.kernel is None  # no kernel ran
             assert fills.call_count == 0
             # k000 and k001 now always move together: a merge at 0.5, far
             # below the cached ones, so the splice re-agglomerates
@@ -570,33 +570,24 @@ class TestEngineRepair:
         assert pipeline.last_stats.merges_reused == 0
         assert _key_sets(result) == _key_sets(cluster_settings(store))
 
-    def test_lossy_rescan_keeps_clean_component_dendrograms(self):
-        # a structural loss (retraction) voids splicing for the dirty
-        # region, but components disjoint from it were untouched — their
-        # dendrograms must survive the rescan like their flat clusters
-        from repro.core.sharded import ShardEngine
-        from repro.ttkv.journal import EventJournal
-
-        journal = EventJournal()
-        for t, key in (
-            (10.0, "a"), (10.0, "b"),
-            (500.0, "x"), (500.0, "y"),
-            (900.0, "z"),
-        ):
-            journal.append_event((t, key, 1))
-        engine = ShardEngine(journal)
-        engine.update()
-        model = engine._model
-        hot = frozenset({"a", "b"})
-        clean = frozenset({"x", "y"})
-        assert hot in model._dendro_cache and clean in model._dendro_cache
-        kept = model._dendro_cache[clean]
-        reclustered, reused, recomputed, kernel_components = (
-            model._rescan_components({"a"}, splice_ok=False)
+    def test_retraction_rebuilds_only_the_dirty_component(self):
+        # A real retraction loses key c and its edges: the loss voids
+        # splicing for the dirty region, but the clean component {x, y}
+        # was untouched and keeps its dendrogram and flat clusters.
+        matrix = CorrelationMatrix()
+        matrix.update_groups(
+            added=[(0, "ab"), (1, "ab"), (2, "abc"), (3, "xy")]
         )
-        assert model._dendro_cache[clean] is kept
-        assert hot in model._dendro_cache  # rebuilt, not spliced
-        assert reused == 0
+        model = ComponentModel(matrix, 60.0, 1.0, "complete")
+        model.refresh(set(matrix.keys))
+        clean = model._dendro_cache[frozenset("xy")]
+        dirty = matrix.update_groups(removed=[(2, "abc")])
+        reclustered, reused, _, _ = model.refresh(dirty)
+        assert model._dendro_cache[frozenset("xy")] is clean
+        assert frozenset("xy") in model.key_sets
+        assert frozenset("xy") not in model.last_order_delta[0]
+        assert (reclustered, reused) == (1, 0)
+        assert model.key_sets == flat_clusters(matrix, 1.0)
 
     def test_checkpoint_round_trip_preserves_the_dendrogram_cache(self):
         store = _hot_component_store()

@@ -200,8 +200,9 @@ def assert_kernel_equivalence(events, rng, cuts=4, **params):
     Patching the size threshold to 0 sends every complete- and
     single-linkage agglomeration the engine makes, splice seeding
     included, down the numpy path; the batch reference stays on the
-    pure-Python HAC.  Every reclustered component must report the
-    kernel, which proves the patch took effect.
+    pure-Python HAC.  Each update must count exactly the components the
+    numpy kernel agglomerated, and one that re-derived merges on a kernel
+    linkage must count some, which proves the patch took effect.
     """
     stream = _sorted_stream(events)
     live = TTKV()
@@ -210,15 +211,25 @@ def assert_kernel_equivalence(events, rng, cuts=4, **params):
     if len(stream) not in positions:
         positions.append(len(stream))
     consumed = 0
-    with mock.patch.object(hk, "KERNEL_SIZE_THRESHOLD", 0):
+    with (
+        mock.patch.object(hk, "KERNEL_SIZE_THRESHOLD", 0),
+        mock.patch.object(
+            hk, "agglomerate_square", wraps=hk.agglomerate_square
+        ) as kernel,
+    ):
         fast = ShardedPipeline(live, **params)
         for position in positions:
             live.record_events(stream[consumed:position])
             consumed = position
+            kernel.reset_mock()
             fast_sets = _key_sets(fast.update())
             stats = fast.last_stats
-            expected = stats.components_reclustered if on_kernel else 0
-            assert stats.kernel_components == expected
+            assert stats.kernel_components == kernel.call_count
+            assert stats.kernel_components <= stats.components_reclustered
+            if not on_kernel:
+                assert stats.kernel_components == 0
+            elif stats.merges_recomputed:
+                assert stats.kernel_components > 0
             batch = cluster_settings(live, **params)
             assert fast_sets == _key_sets(batch), (
                 f"numpy kernel diverged from batch at prefix "
@@ -529,9 +540,20 @@ class TestEngineKernelDispatch:
         store = _hot_component_store()  # one 60-key component
         pipeline = ShardedPipeline(store)
         pipeline.update()
+        assert pipeline.last_stats.kernel_components > 0
+
+    def test_a_short_circuit_counts_no_kernel_component(self, monkeypatch):
+        # a lone write to an unmerged key keeps the cached (merge-free)
+        # dendrogram: the component resolves to numpy, but nothing ran
+        monkeypatch.setattr(hk, "KERNEL_SIZE_THRESHOLD", 0)
+        store = _hot_component_store()
+        pipeline = ShardedPipeline(store)
+        pipeline.update()
+        store.record_write("app/k00", "new", 60 * 100.0 + 1500)
+        pipeline.update()
         stats = pipeline.last_stats
-        assert stats.kernel_used
-        assert stats.kernel_components > 0
+        assert (stats.components_reclustered, stats.merges_recomputed) == (1, 0)
+        assert stats.kernel_components == 0
 
     def test_python_kernel_reports_no_kernel_components(self, monkeypatch):
         # an unreachable size threshold keeps the 60-key component on
@@ -540,7 +562,6 @@ class TestEngineKernelDispatch:
         store = _hot_component_store()
         pipeline = ShardedPipeline(store)
         clusters = pipeline.update()
-        assert not pipeline.last_stats.kernel_used
         assert pipeline.last_stats.kernel_components == 0
         assert _key_sets(clusters) == _key_sets(cluster_settings(store))
 
@@ -550,7 +571,7 @@ class TestEngineKernelDispatch:
         store.record_write("b", 1, 10.0)
         pipeline = ShardedPipeline(store)
         pipeline.update()
-        assert not pipeline.last_stats.kernel_used
+        assert pipeline.last_stats.kernel_components == 0
 
     def test_invalid_kernel_is_rejected(self):
         # the kernel is chosen only at the function level
@@ -587,7 +608,7 @@ class TestNumpyAbsent:
         pipeline = ShardedPipeline(store)
         clusters = pipeline.update()
         assert _key_sets(clusters) == _key_sets(cluster_settings(store))
-        assert not pipeline.last_stats.kernel_used
+        assert pipeline.last_stats.kernel_components == 0
 
     def test_require_numpy_raises(self, no_numpy):
         with pytest.raises(RuntimeError, match="numpy, which is not installed"):

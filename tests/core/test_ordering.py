@@ -19,7 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ordering import SortedKeySets, diff_sorted, order_key
+from repro.core.ordering import SortedKeySets, order_key
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
 from repro.ttkv.store import DELETED, TTKV
@@ -72,22 +72,6 @@ class TestSortedKeySets:
         container = SortedKeySets([frozenset({"a"})])
         with pytest.raises(KeyError):
             container.remove(frozenset({"b"}))
-
-    def test_diff_sorted_replays_old_into_new(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            universe = [
-                frozenset(
-                    f"k{rng.randint(0, 30):02d}" for _ in range(rng.randint(1, 3))
-                )
-                for _ in range(20)
-            ]
-            old = _reference({s for s in universe if rng.random() < 0.5})
-            new = _reference({s for s in universe if rng.random() < 0.5})
-            removed, added = diff_sorted(old, new)
-            replay = set(old) - set(removed) | set(added)
-            assert _reference(replay) == new
-            assert not set(removed) & set(added)
 
 
 _events = st.lists(

@@ -183,7 +183,8 @@ def test_unsupervised_update_failure_propagates_and_recovers():
 
     It propagates out of the drive; the failing machine still reads
     stale, the machine updated before it in the same call is swept again,
-    and a later synchronous ``update()`` converges to the batch reference.
+    a synchronous ``update()`` failing the same way leaves the same sweep
+    behind, and the next one converges to the batch reference.
     """
     machine_events = {m: _events(seed) for seed, m in enumerate(("m0", "m1", "m2"))}
     fleet = FleetPipeline()
@@ -194,7 +195,7 @@ def test_unsupervised_update_failure_propagates_and_recovers():
 
     def update_that_fails_in_round_two():
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) in (2, 3):
             raise RuntimeError("m1 update failed")
         return ShardedPipeline.update(failing)
 
@@ -207,6 +208,8 @@ def test_unsupervised_update_failure_propagates_and_recovers():
     assert fleet.machine("m2").needs_update() is True  # not reached
     # m0 updated in the failed call, but its evidence never reached the merge
     assert fleet.machine("m0").needs_update() is False
+    with pytest.raises(RuntimeError, match="m1 update failed"):
+        fleet.update()
     fleet.update()
     # m0's evidence is ingested although its own update had nothing to do
     assert fleet.last_stats.machines_updated == 3
