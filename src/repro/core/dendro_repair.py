@@ -98,38 +98,13 @@ already above the bound, so the cached dendrogram stands as it is::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core import hac_kernel
 from repro.core.clustering import LINKAGE_AVERAGE, agglomerate_clusters
 from repro.core.correlation import CorrelationMatrix
 from repro.core.dendrogram import Dendrogram, Merge, partition_after
-from repro.core.hac_kernel import (
-    KERNEL_NUMPY,
-    KERNEL_PYTHON,
-    require_numpy,
-    resolve_kernel,
-)
-
-@dataclass(frozen=True)
-class SeedDistanceCache:
-    """Inter-seed linkage distances from a component's previous repair.
-
-    ``seeds`` is the surviving-cluster partition that repair
-    re-agglomerated (sorted by smallest key) and ``matrix`` its dense
-    ``(k, k)`` linkage-distance array (the :func:`~repro.core.hac_kernel.
-    seed_matrix` output, *before* the merge loop mutated its copy).  On
-    the next repair of the same component, rows of seeds that survived
-    unchanged and contain no dirty key are copied over instead of being
-    re-reduced from the distance block — repeat repairs touch only the
-    affected rows.  Runtime-only derived data: it is never checkpointed
-    (a resumed session re-derives it on first repair).
-    """
-
-    linkage: str
-    seeds: tuple[frozenset[str], ...]
-    matrix: "object"
+from repro.core.hac_kernel import KERNEL_PYTHON, resolve_kernel
 
 
 @dataclass(frozen=True)
@@ -143,9 +118,7 @@ class SpliceOutcome:
     fallback).  ``kernel`` names the implementation that agglomerated
     (``"numpy"`` or ``"python"``), and is ``None`` when nothing was
     agglomerated: a one-key component, or a splice that kept its cached
-    merges as they were; ``seed_cache``
-    carries the refreshed inter-seed distances for the next repair of
-    this component (numpy splice path only).
+    merges as they were.
     """
 
     dendrogram: Dendrogram
@@ -153,7 +126,6 @@ class SpliceOutcome:
     merges_recomputed: int
     spliced: bool
     kernel: str | None = None
-    seed_cache: SeedDistanceCache | None = field(default=None, compare=False)
 
 
 def build_dendrogram(
@@ -232,7 +204,6 @@ def splice_dendrogram(
     linkage: str,
     *,
     kernel: str = KERNEL_PYTHON,
-    seed_caches: Sequence[SeedDistanceCache] = (),
     max_distance: float = math.inf,
 ) -> SpliceOutcome:
     """Repair one dirty component by splicing its cached merge history.
@@ -257,17 +228,14 @@ def splice_dendrogram(
     linkage:
         The linkage criterion (must match the cached dendrograms').
     kernel:
-        Implementation selector (:mod:`repro.core.hac_kernel`): when it
-        resolves to ``"numpy"`` for this component, the inter-seed
-        distances come from vectorized reductions over the component's
-        cached distance block — optionally reusing rows from
-        ``seed_caches`` (previous repairs' :class:`SeedDistanceCache`
-        records) so only rows of seeds touching dirty keys are
-        re-reduced — and the merge loop runs on the array kernel.  The
-        block is requested, and its dirty rows refreshed, only when the
-        splice re-agglomerates more than one seed; the splice line itself
-        always comes from one walk of the affected keys' adjacency
-        (:meth:`~repro.core.correlation.CorrelationMatrix.
+        Implementation selector (:mod:`repro.core.hac_kernel`), resolved
+        once for the whole component.  The surviving seeds then go through
+        :func:`~repro.core.clustering.agglomerate_clusters`, the call a
+        rebuild makes: on ``"numpy"`` it reduces the seed matrix from the
+        component's cached distance block, whose dirty rows are refreshed
+        only when more than one seed is left to agglomerate.  The splice
+        line itself always comes from one walk of the affected keys'
+        adjacency (:meth:`~repro.core.correlation.CorrelationMatrix.
         nearest_distance`).  Results are bit-identical across kernels.
     max_distance:
         The horizon to agglomerate up to.  Every cached dendrogram must
@@ -357,8 +325,6 @@ def splice_dendrogram(
         # Below the line the update changed nothing, and the line lies
         # above the horizon: the new run's merges at or below the horizon
         # are exactly the cached ones.  No seed matrix, no kernel call.
-        # (The seed-distance caches are dropped: their rows of affected
-        # seeds are stale now.)
         if len(cached) == 1 and cached[0].items == component:
             dendrogram = cached[0]
         else:
@@ -371,24 +337,9 @@ def splice_dendrogram(
         )
 
     seeds = surviving_clusters(component, prefix)
-    seed_cache: SeedDistanceCache | None = None
-    if resolved == KERNEL_NUMPY and len(seeds) > 1:
-        # Only a real re-agglomeration needs the block: the rows dirtied
-        # since it was last read are refreshed here, once.
-        block = matrix.component_distance_block(component)
-        seed_square = _seed_matrix_with_reuse(
-            block, seeds, affected, seed_caches, linkage
-        )
-        seed_cache = SeedDistanceCache(
-            linkage=linkage, seeds=tuple(seeds), matrix=seed_square
-        )
-        new_merges = hac_kernel.agglomerate_square(
-            seed_square.copy(), seeds, linkage, max_distance
-        )
-    else:
-        new_merges = agglomerate_clusters(
-            matrix, seeds, linkage, max_distance=max_distance
-        )
+    new_merges = agglomerate_clusters(
+        matrix, seeds, linkage, kernel=resolved, max_distance=max_distance
+    )
     new_merges.sort(key=lambda merge: merge.distance)
     try:
         dendrogram = Dendrogram(component, prefix + new_merges, max_distance)
@@ -402,63 +353,7 @@ def splice_dendrogram(
         merges_recomputed=len(new_merges),
         spliced=True,
         kernel=resolved if len(seeds) > 1 else None,
-        seed_cache=seed_cache,
     )
-
-
-def _seed_matrix_with_reuse(
-    block,
-    seeds: Sequence[frozenset[str]],
-    affected: set[str],
-    seed_caches: Sequence[SeedDistanceCache],
-    linkage: str,
-):
-    """The seeds' inter-cluster distance matrix, reusing cached rows.
-
-    A seed that also appears in a previous repair's cache and contains no
-    dirty key kept every distance to *other such seeds from the same
-    cache*: those entries are copied.  Distances across different caches
-    (the update bridged components) default to ``inf``, which is exact —
-    before the bridge there was no edge between the old components, and
-    any edge the bridge created involves a dirty key, i.e. an affected
-    seed.  Rows of affected or brand-new seeds are re-reduced from the
-    distance block (:func:`~repro.core.hac_kernel.seed_matrix_rows`).
-    """
-    np = require_numpy()
-    caches = [
-        cache
-        for cache in seed_caches
-        if cache is not None and cache.linkage == linkage
-    ]
-    # The caches' matrices side by side on one block diagonal, plus a last
-    # all-inf row/column that stands for "no cached row": one gather then
-    # lays every reusable entry out in the new seed order at once.
-    starts = [0]
-    for cache in caches:
-        starts.append(starts[-1] + len(cache.seeds))
-    missing = starts[-1]
-    stacked = np.full((missing + 1, missing + 1), math.inf)
-    origin: dict[frozenset[str], int] = {}
-    for cache, start in reversed(list(zip(caches, starts))):
-        end = start + len(cache.seeds)
-        stacked[start:end, start:end] = cache.matrix
-        origin.update(zip(cache.seeds, range(start, end)))  # first cache wins
-    source = np.fromiter(
-        (
-            origin.get(seed, missing) if affected.isdisjoint(seed) else missing
-            for seed in seeds
-        ),
-        dtype=np.intp,
-        count=len(seeds),
-    )
-    square = stacked.take(source, 0).take(source, 1)
-    fresh = (source == missing).nonzero()[0]
-    if fresh.size:
-        rows = hac_kernel.seed_matrix_rows(block, seeds, fresh.tolist(), linkage)
-        square[fresh, :] = rows
-        square[:, fresh] = rows.T
-    np.fill_diagonal(square, math.inf)
-    return square
 
 
 # -- checkpoint encoding ------------------------------------------------------

@@ -161,24 +161,6 @@ class DistanceBlock:
         )
 
 
-def _segments(np, block: DistanceBlock, clusters: Sequence[frozenset]):
-    """Concatenated member columns plus per-seed start offsets.
-
-    One ``fromiter`` over ``block.index`` for the whole partition: member
-    order within a segment is irrelevant, the segmented reductions are
-    pure ``max``/``min`` selections.
-    """
-    lengths = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
-    cols = np.fromiter(
-        map(block.index.__getitem__, chain.from_iterable(clusters)),
-        dtype=np.intp,
-        count=int(lengths.sum()),
-    )
-    offsets = np.zeros(len(clusters), dtype=np.intp)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    return cols, offsets
-
-
 def seed_matrix(
     block: DistanceBlock,
     clusters: Sequence[frozenset],
@@ -203,34 +185,23 @@ def seed_matrix(
             f"kernel seed matrix supports {KERNEL_LINKAGES}, got {linkage!r}"
         )
     reduce_op = np.maximum if linkage == "complete" else np.minimum
-    cols, offsets = _segments(np, block, clusters)
+    # Concatenated member columns plus per-seed start offsets, from one
+    # ``fromiter`` over the whole partition: member order within a
+    # segment is irrelevant, the reductions are pure max/min selections.
+    lengths = np.fromiter(map(len, clusters), dtype=np.intp, count=len(clusters))
+    cols = np.fromiter(
+        map(block.index.__getitem__, chain.from_iterable(clusters)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
+    )
+    offsets = np.zeros(len(clusters), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=offsets[1:])
     # (n, k): per source row, the reduction over each seed's columns
     per_seed = reduce_op.reduceat(block.square[:, cols], offsets, axis=1)
     # (k, k): the same segmented reduction down the rows, in seed order
     out = reduce_op.reduceat(per_seed[cols], offsets, axis=0)
     np.fill_diagonal(out, np.inf)
     return out
-
-
-def seed_matrix_rows(
-    block: DistanceBlock,
-    clusters: Sequence[frozenset],
-    rows: Sequence[int],
-    linkage: str,
-) -> "_np.ndarray":
-    """The :func:`seed_matrix` rows for a subset of seeds only.
-
-    Returns a ``(len(rows), k)`` array of the requested seeds' distances
-    to *every* seed.  Used by the splice repair to refresh only the rows
-    an update affected while reusing the cached remainder.
-    """
-    np = require_numpy()
-    reduce_op = np.maximum if linkage == "complete" else np.minimum
-    cols, offsets = _segments(np, block, clusters)
-    row_cols, row_offsets = _segments(np, block, [clusters[row] for row in rows])
-    # (r, k): reduce each requested seed's member rows, then its columns
-    sub = reduce_op.reduceat(block.square[row_cols][:, cols], offsets, axis=1)
-    return reduce_op.reduceat(sub, row_offsets, axis=0)
 
 
 def agglomerate_square(

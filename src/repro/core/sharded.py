@@ -90,7 +90,6 @@ from repro.core.correlation import (
     correlation_to_distance,
 )
 from repro.core.dendro_repair import (
-    SeedDistanceCache,
     SpliceOutcome,
     dendrogram_from_state,
     dendrogram_to_state,
@@ -254,7 +253,6 @@ class ComponentModel:
         self._linkage = linkage
         self._component_cache: dict[frozenset[str], list[frozenset[str]]] = {}
         self._dendro_cache: dict[frozenset[str], Dendrogram] = {}
-        self._seed_cache: dict[frozenset[str], SeedDistanceCache] = {}
         self._component_of_key: dict[str, frozenset[str]] = {}
         self._seen_structure = matrix.structure_version
         self._ready = False
@@ -320,8 +318,8 @@ class ComponentModel:
           spliced like live ones.
         - After a lossy mutation bumped ``structure_version``, components
           may have shrunk, which voids the splice argument: each dirty
-          key's old dendrogram and seed cache are dropped, so its
-          component re-agglomerates.  A component holding no dirty key is
+          key's old dendrogram is dropped, so its component
+          re-agglomerates.  A component holding no dirty key is
           left alone: lost edges and bridges only touch dirty keys.
 
         ``shown`` holds clusters an owner displayed from a model it
@@ -349,7 +347,6 @@ class ComponentModel:
                 evicted[stale] = old_clusters
             if lossy:
                 self._dendro_cache.pop(stale, None)
-                self._seed_cache.pop(stale, None)
                 if key not in matrix:
                     del self._component_of_key[key]
         merges_reused = merges_recomputed = kernel_components = 0
@@ -365,8 +362,6 @@ class ComponentModel:
                 outcome = self._repair_component(component, dirty, keys)
                 dendrogram = outcome.dendrogram
                 self._dendro_cache[component] = dendrogram
-                if outcome.seed_cache is not None:
-                    self._seed_cache[component] = outcome.seed_cache
                 merges_reused += outcome.merges_reused
                 merges_recomputed += outcome.merges_recomputed
                 if outcome.kernel == KERNEL_NUMPY:
@@ -432,7 +427,6 @@ class ComponentModel:
         component.
         """
         cached: list[Dendrogram] = []
-        seed_caches: list[SeedDistanceCache] = []
         seen: set[frozenset[str]] = set()
         for key in probe:
             old = self._component_of_key.get(key)
@@ -442,9 +436,6 @@ class ComponentModel:
             dendrogram = self._dendro_cache.pop(old, None)
             if dendrogram is not None:
                 cached.append(dendrogram)
-            seed_cache = self._seed_cache.pop(old, None)
-            if seed_cache is not None:
-                seed_caches.append(seed_cache)
         # ``component`` iterates in hash order; sort the collected caches
         # so the spliced merge list (and its checkpoint encoding) is a
         # deterministic function of the session state.
@@ -457,7 +448,6 @@ class ComponentModel:
                 cached,
                 self._linkage,
                 kernel=KERNEL_AUTO,
-                seed_caches=seed_caches,
                 max_distance=self._horizon,
             )
         return rebuild_outcome(

@@ -133,10 +133,6 @@ def _seed_events(
     return events
 
 
-def member_canonical(app: SimulatedApplication, local: str) -> str:
-    return app.canonical_key(local)
-
-
 def prepare_scenario(
     trace: GeneratedTrace,
     case: ErrorCase,

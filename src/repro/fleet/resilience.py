@@ -144,20 +144,6 @@ class FaultSpec:
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
 
-    @property
-    def any_faults(self) -> bool:
-        return bool(self.scheduled) or any(
-            getattr(self, name) > 0.0
-            for name in (
-                "crash_rate",
-                "hang_rate",
-                "slow_rate",
-                "torn_write_rate",
-                "corrupt_rate",
-                "snapshot_loss_rate",
-            )
-        )
-
 
 @dataclass(frozen=True)
 class FaultEvent:

@@ -450,10 +450,10 @@ class TestDistanceBlockCache:
                 )
 
 
-# -- splice seed-distance reuse ----------------------------------------------
+# -- repeated numpy splices ---------------------------------------------------
 
 
-class TestSeedDistanceReuse:
+class TestRepeatSplices:
     def _hot_matrix(self, blocks=6, rounds=8):
         matrix = CorrelationMatrix()
         gid = 0
@@ -472,12 +472,11 @@ class TestSeedDistanceReuse:
                 gid += 1
         return matrix, churn, gid
 
-    def test_repeat_repairs_reuse_cached_rows_and_stay_exact(self):
+    def test_repeat_numpy_splices_stay_exact(self):
         matrix, churn, gid = self._hot_matrix()
         component = frozenset(matrix.keys)
         cached = build_dendrogram(matrix, component, "complete")
-        seed_caches = []
-        for step in range(4):
+        for _ in range(4):
             matrix.observe_group(gid, churn)
             gid += 1
             outcome = splice_dendrogram(
@@ -487,38 +486,12 @@ class TestSeedDistanceReuse:
                 [cached],
                 "complete",
                 kernel=KERNEL_NUMPY,
-                seed_caches=seed_caches,
             )
             assert outcome.spliced
             assert outcome.kernel == KERNEL_NUMPY
-            assert outcome.seed_cache is not None
             reference = build_dendrogram(matrix, component, "complete")
             assert outcome.dendrogram.merges == reference.merges
             cached = outcome.dendrogram
-            seed_caches = [outcome.seed_cache]
-
-    def test_cached_rows_match_a_fresh_reduction(self):
-        matrix, churn, gid = self._hot_matrix()
-        component = frozenset(matrix.keys)
-        cached = build_dendrogram(matrix, component, "complete")
-        matrix.observe_group(gid, churn)
-        first = splice_dendrogram(
-            matrix, component, set(churn), [cached], "complete",
-            kernel=KERNEL_NUMPY,
-        )
-        matrix.observe_group(gid + 1, churn)
-        with_cache = splice_dendrogram(
-            matrix, component, set(churn), [first.dendrogram], "complete",
-            kernel=KERNEL_NUMPY, seed_caches=[first.seed_cache],
-        )
-        without_cache = splice_dendrogram(
-            matrix, component, set(churn), [first.dendrogram], "complete",
-            kernel=KERNEL_NUMPY,
-        )
-        assert with_cache.dendrogram.merges == without_cache.dendrogram.merges
-        assert np.array_equal(
-            with_cache.seed_cache.matrix, without_cache.seed_cache.matrix
-        )
 
 
 # -- engine/pipeline integration ---------------------------------------------
@@ -602,6 +575,19 @@ class TestNumpyAbsent:
         matrix = CorrelationMatrix({"a": {0}, "b": {0}})
         with pytest.raises(RuntimeError, match="numpy is not installed"):
             agglomerate_component(matrix, {"a", "b"}, "complete", kernel=KERNEL_NUMPY)
+
+    def test_explicit_numpy_splice_raises_a_clear_error(self, no_numpy):
+        matrix = CorrelationMatrix({"a": {0, 1}, "b": {0, 1}, "c": {1}})
+        component = frozenset(matrix.keys)
+        cached = build_dendrogram(matrix, component, "complete")
+        matrix.observe_group(2, ["a", "c"])
+        with pytest.raises(RuntimeError, match="numpy is not installed"):
+            splice_dendrogram(
+                matrix, component, {"a", "c"}, [cached], "complete",
+                kernel=KERNEL_NUMPY,
+            )
+        with pytest.raises(RuntimeError, match="numpy, which is not installed"):
+            matrix.component_distance_block(component)
 
     def test_auto_pipeline_still_clusters(self, no_numpy):
         store = _hot_component_store(groups=20, keys=20)
